@@ -29,7 +29,12 @@ from .errors import (
     PanelValidationError,
     PDRepairError,
 )
-from .filtering import bootstrap_filter, filter_to_csv
+from .filtering import (
+    RESAMPLING_METHODS,
+    bootstrap_filter,
+    filter_to_csv,
+    quantile_labels,
+)
 from .forecasting import forecast_to_csv, rate_surface, simulate_future
 from .latent import load_theta, theta_from_dict, theta_to_json
 from .panel import Cell, StudyKind, load_panel, serialize_panel
@@ -163,14 +168,27 @@ def _theta_from(args, config, key="theta0"):
         raise ConfigError(f"bad parameter file: {exc}") from exc
 
 
+def _int_setting(spec, section, key, default):
+    value = spec.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"bad {section} config: {key} must be an integer, got {value!r}"
+        ) from None
+
+
 def _em_config(config):
+    """The EM settings, checked in full before any compute."""
     spec = config.get("em", {})
+    counts = {
+        key: _int_setting(spec, "em", key, default)
+        for key, default in (("num_particles", 1000), ("num_backward", 2),
+                             ("max_iters", 200), ("tail_window", 20))
+    }
     try:
         return EMConfig(
-            num_particles=int(spec.get("num_particles", 1000)),
-            num_backward=int(spec.get("num_backward", 2)),
-            max_iters=int(spec.get("max_iters", 200)),
-            tail_window=int(spec.get("tail_window", 20)),
+            **counts,
             pd_repair=spec.get("pd_repair", "resample"),
             resampling=spec.get("resampling", "multinomial"),
             backward=spec.get("backward", "categorical"),
@@ -179,12 +197,25 @@ def _em_config(config):
         raise ConfigError(f"bad em config: {exc}") from exc
 
 
+def _quantile_levels(spec, section):
+    try:
+        levels = tuple(float(q) for q in spec.get("quantiles", DEFAULT_FILTER_QUANTILES))
+        quantile_labels(levels)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} config: quantiles: {exc}") from exc
+    return levels
+
+
 def _filter_settings(config):
+    """(particle count, quantile levels, resampling), checked before any compute."""
     spec = config.get("filter", {})
-    num = int(spec.get("num_particles", 2000))
-    quantiles = tuple(float(q) for q in spec.get("quantiles", DEFAULT_FILTER_QUANTILES))
+    num = _int_setting(spec, "filter", "num_particles", 2000)
+    if num < 1:
+        raise ConfigError("bad filter config: num_particles must be at least 1")
     resampling = spec.get("resampling", "multinomial")
-    return num, quantiles, resampling
+    if resampling not in RESAMPLING_METHODS:
+        raise ConfigError(f"bad filter config: unknown resampling method {resampling!r}")
+    return num, _quantile_levels(spec, "filter"), resampling
 
 
 def _seed(args, config):
@@ -242,17 +273,17 @@ def _cmd_baseline(args, config, outdir, seed):
 
 
 def _cmd_fit(args, config, outdir, seed):
+    em_config = _em_config(config)
+    num, quantiles, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta0 = _theta_from(args, config)
     if theta0 is None:
         print("no initial parameters given; running the two-step baseline")
         _, theta0 = two_step_fit(panel, basis, threads=args.threads)
-    em_config = _em_config(config)
     trace = em_fit(panel, basis, theta0, em_config, seed)
     _write(outdir, "trace.csv", trace_to_csv(trace))
     _write(outdir, "theta_hat.json", theta_to_json(trace.theta_final))
-    num, quantiles, resampling = _filter_settings(config)
     output = bootstrap_filter(
         panel, basis, trace.theta_final, num, seed, resampling=resampling
     )
@@ -262,12 +293,12 @@ def _cmd_fit(args, config, outdir, seed):
 
 
 def _cmd_filter(args, config, outdir, seed):
+    num, quantiles, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta = _theta_from(args, config, key="theta")
     if theta is None:
         raise ConfigError("filter needs parameters (--theta0 or config 'theta')")
-    num, quantiles, resampling = _filter_settings(config)
     output = bootstrap_filter(panel, basis, theta, num, seed, resampling=resampling)
     print(f"log-likelihood estimate {output.loglik_estimate:.6f}")
     _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
@@ -276,17 +307,19 @@ def _cmd_filter(args, config, outdir, seed):
 
 
 def _cmd_forecast(args, config, outdir, seed):
+    spec = config.get("forecast", {})
+    horizon = _int_setting(spec, "forecast", "horizon", 10)
+    num_paths = _int_setting(spec, "forecast", "num_paths", 10000)
+    if horizon < 1 or num_paths < 1:
+        raise ConfigError("bad forecast config: horizon and num_paths must be at least 1")
+    quantiles = _quantile_levels(spec, "forecast")
+    num, _, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta = _theta_from(args, config, key="theta")
     if theta is None:
         raise ConfigError("forecast needs parameters (--theta0 or config 'theta')")
-    spec = config.get("forecast", {})
-    horizon = int(spec.get("horizon", 10))
-    num_paths = int(spec.get("num_paths", 10000))
-    quantiles = tuple(float(q) for q in spec.get("quantiles", DEFAULT_FILTER_QUANTILES))
     from_mean = bool(spec.get("from_mean", False))
-    num, _, resampling = _filter_settings(config)
     output = bootstrap_filter(panel, basis, theta, num, seed, resampling=resampling)
     paths = simulate_future(
         theta, output.clouds[-1], horizon, num_paths, seed, from_mean=from_mean

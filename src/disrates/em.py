@@ -22,9 +22,10 @@ from scipy.optimize import minimize
 from . import rng
 from .basis import check_rank
 from .errors import MStepNotPositiveDefinite, PDRepairError
+from .filtering import RESAMPLING_METHODS
 from .latent import LatentParams, require_valid
 from .observation import make_slices
-from .smoothing import smooth_slices
+from .smoothing import BACKWARD_METHODS, smooth_slices
 
 DIAG_FLOOR = 1e-8
 
@@ -41,11 +42,19 @@ class EMConfig:
 
     def __post_init__(self):
         if self.max_iters < 1 or self.tail_window < 1:
-            raise ValueError("iteration counts must be positive")
+            raise ValueError("max_iters and tail_window must be positive")
         if self.tail_window > self.max_iters:
-            raise ValueError("tail window cannot exceed the iteration budget")
+            raise ValueError("tail window cannot exceed the iteration budget max_iters")
         if self.pd_repair not in ("resample", "numeric"):
             raise ValueError(f"unknown pd_repair strategy {self.pd_repair!r}")
+        if self.resampling not in RESAMPLING_METHODS:
+            raise ValueError(f"unknown resampling method {self.resampling!r}")
+        if self.backward not in BACKWARD_METHODS:
+            raise ValueError(f"unknown backward method {self.backward!r}")
+        if self.num_particles < 1:
+            raise ValueError("num_particles must be at least 1")
+        if self.backward != "exact" and not 2 <= self.num_backward <= self.num_particles:
+            raise ValueError("num_backward must lie between 2 and num_particles")
 
 
 @dataclass

@@ -20,6 +20,8 @@ from .basis import check_rank
 from .errors import FilterDegeneracyError
 from .observation import loglik_many, make_slices
 
+RESAMPLING_METHODS = ("multinomial", "systematic")
+
 
 @dataclass(frozen=True)
 class ParticleCloud:
@@ -58,15 +60,33 @@ def filter_mean(cloud):
     return cloud.weights @ cloud.particles
 
 
+def check_quantile_levels(probs):
+    """The levels as a 1-D float array; each must lie strictly inside (0, 1)."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    return probs
+
+
+def quantile_labels(probs):
+    """Column labels qNN, the level in whole percent, one per valid level.
+
+    Raises ValueError when two levels round to the same label, so no table
+    ever carries two columns of one name.
+    """
+    labels = [f"q{int(round(100 * q)):02d}" for q in check_quantile_levels(probs)]
+    if len(set(labels)) != len(labels):
+        raise ValueError("quantile levels collide after rounding to percent labels")
+    return labels
+
+
 def filter_quantiles(cloud, probs):
     """Weighted empirical quantiles, (len(probs), p).
 
     Left-continuous inverse of the weighted ECDF: the smallest particle
     value whose cumulative weight reaches the requested level.
     """
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    probs = check_quantile_levels(probs)
     w = cloud.weights
     out = np.empty((probs.size, cloud.particles.shape[1]))
     for i in range(cloud.particles.shape[1]):
@@ -170,9 +190,7 @@ def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
 
 def filter_to_csv(output, probs=(0.05, 0.5, 0.95)):
     """Long-format per-period summary: mean, quantiles and ESS."""
-    labels = [f"q{int(round(100 * q)):02d}" for q in probs]
-    if len(set(labels)) != len(labels):
-        raise ValueError("quantile levels collide after rounding to percent labels")
+    labels = quantile_labels(probs)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["period", "component", "mean"] + labels + ["ess"])

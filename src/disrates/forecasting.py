@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .basis import design_matrix
-from .filtering import filter_mean
+from .filtering import check_quantile_levels, filter_mean, quantile_labels
 from .latent import require_valid
 from .observation import logistic
 
@@ -62,9 +62,7 @@ def rate_surface(paths, basis, cells, probs):
     logistic, so each output level is exactly the logistic image of the
     matching latent quantile.
     """
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise ValueError("quantile levels must lie strictly inside (0, 1)")
+    probs = check_quantile_levels(probs)
     design = design_matrix(basis, cells)  # (C, p)
     logits = np.einsum("cp,hmp->chm", design, paths)
     return logistic(_path_quantiles(logits, probs))
@@ -72,7 +70,7 @@ def rate_surface(paths, basis, cells, probs):
 
 def forecast_to_csv(surface, cells, probs):
     """Long-format export: horizon,cell_id,prob,quantile_level,value."""
-    labels = [f"q{int(round(100 * q)):02d}" for q in probs]
+    labels = quantile_labels(probs)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["horizon", "cell_id", "prob", "quantile_level", "value"])

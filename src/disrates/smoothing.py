@@ -7,13 +7,18 @@ averages the statistics of a few backward-sampled ancestors, drawn from the
 previous cloud reweighted by the transition density, so no genealogies are
 stored and memory stays O(N) in the number of particles.
 
-Backward indices are drawn either by direct categorical sampling (default,
-O(N) per draw) or by an accept-reject scheme that proposes from the filter
-weights and accepts with the transition-density ratio, which avoids forming
-the N x N weight table and is much faster for large N.  Both target exactly
-the same distribution.  A third mode replaces sampling with the full
-backward expectation, giving the forward-filtering backward-smoothing
-estimator; it is quadratic in N and intended for cross-checks.
+Backward indices are drawn either by direct categorical sampling (the
+default) or by an accept-reject scheme that proposes from the filter
+weights and accepts with the transition-density ratio; both target exactly
+the same distribution.  Categorical sampling costs O(N²) time per period,
+since every particle weighs the whole previous cloud, but only O(block·N)
+memory: the N x N weight table is built and consumed a block of rows at a
+time.  Accept-reject costs O(N·Ñ) per round, but rows that keep rejecting
+after _REJECT_MAX_ROUNDS rounds fall back to the categorical kernel, so its
+cost depends on how far the clouds are apart.  A third mode replaces
+sampling with the full backward expectation, giving the forward-filtering
+backward-smoothing estimator; it builds whole N x N tables, costing O(N²)
+time and memory, and is intended for cross-checks.
 """
 
 import json
@@ -32,6 +37,9 @@ from .observation import make_slices
 
 BACKWARD_METHODS = ("categorical", "reject", "exact")
 _REJECT_MAX_ROUNDS = 75
+# Bytes per block buffer of the categorical kernel: small enough to stay in
+# cache, and it bounds the kernel's memory at O(N) whatever N is.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -110,25 +118,74 @@ def _backward_logtable(prev_logw, a, b):
     return prev_logw[None, :] - 0.5 * quad
 
 
-def _rowwise_categorical(logtable, draws, period):
-    """Sample one index per (row, draw) from each row's categorical."""
-    rowmax = logtable.max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(rowmax))
-    if bad.size:
-        raise FilterDegeneracyError(period=period, particle=int(bad[0]))
-    table = np.exp(logtable - rowmax[:, None])
-    cum = np.cumsum(table, axis=1)
+def _block_rows(width):
+    """Rows of a width-wide float64 block that fit in _BLOCK_BYTES (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _count_at_most(cum, u):
+    """Per row i, how many entries of cum[i] are ≤ each u[i, k].
+
+    For nondecreasing rows this is np.searchsorted(cum[i], u[i],
+    side="right"), computed by one branch-free bisection over all (row,
+    draw) pairs at once.  The first probe, at the largest power of two
+    k ≤ width, decides whether the count lies in [0, k) or in
+    [width − k + 1, width]; halving steps then cover either range without
+    reading past the row.
+    """
+    rows, width = cum.shape
+    flat = cum.ravel()
+    base = (np.arange(rows) * width)[:, None]
+    step = 1 << (width.bit_length() - 1)
+    pos = np.where(flat[base + step - 1] <= u, width - step + 1, 0)
+    step >>= 1
+    while step:
+        pos += step * (flat[base + pos + step - 1] <= u)
+        step >>= 1
+    return pos
+
+
+def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
+    """One backward index per (row of a, draw) from each row's categorical.
+
+    Row i's weights over the previous cloud are prev_logw − ½‖a_i − b_j‖²
+    up to a constant; draws[i] holds its uniforms.  The table is never
+    formed whole: rows are processed in blocks of _block_rows(N) through two
+    reused buffers, with the same floating-point operations in the same
+    order as the full table, so the indices do not depend on the block size.
+    ids maps rows of a to the particle indices that errors report.
+    """
+    num, width = a.shape[0], b.shape[0]
+    qa = np.einsum("ip,ip->i", a, a)
+    qb = np.einsum("jp,jp->j", b, b)
+    bt = b.T
+    block = min(num, _block_rows(width))
+    cross = np.empty((block, width))
+    work = np.empty((block, width))
     idx = np.empty(draws.shape, dtype=np.intp)
-    for i in range(logtable.shape[0]):
-        u = draws[i] * cum[i, -1]
-        idx[i] = np.searchsorted(cum[i], u, side="right")
-    return np.minimum(idx, logtable.shape[1] - 1)
-
-
-def _sample_backward_categorical(prev_logw, a, b, num_backward, gen, period):
-    logtable = _backward_logtable(prev_logw, a, b)
-    draws = gen.random((a.shape[0], num_backward))
-    return _rowwise_categorical(logtable, draws, period)
+    for start in range(0, num, block):
+        stop = min(start + block, num)
+        x, y = cross[:stop - start], work[:stop - start]
+        np.matmul(a[start:stop], bt, out=x)
+        np.multiply(x, 2.0, out=x)
+        np.copyto(y, qb[None, :])  # faster than broadcasting both operands
+        np.add(qa[start:stop, None], y, out=y)
+        np.subtract(y, x, out=y)
+        np.multiply(y, 0.5, out=y)
+        np.subtract(prev_logw[None, :], y, out=y)
+        rowmax = y.max(axis=1)
+        bad = np.flatnonzero(~np.isfinite(rowmax))
+        if bad.size:
+            row = start + int(bad[0])
+            raise FilterDegeneracyError(
+                period=period, particle=int(row if ids is None else ids[row])
+            )
+        np.subtract(y, rowmax[:, None], out=y)
+        np.exp(y, out=x)
+        np.cumsum(x, axis=1, out=y)
+        u = draws[start:stop] * y[:, -1:]
+        idx[start:stop] = _count_at_most(y, u)
+    return np.minimum(idx, width - 1)
 
 
 def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
@@ -155,17 +212,16 @@ def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
         alive = alive[~accept]
         if alive.size == 0:
             break
+    full = idx.reshape(num, num_backward)
     if alive.size:
         rows = np.unique(alive // num_backward)
-        logtable = _backward_logtable(prev_logw, a[rows], b)
         draws = gen.random((rows.size, num_backward))
-        exact = _rowwise_categorical(logtable, draws, period)
-        full = idx.reshape(num, num_backward)
-        for r, row in enumerate(rows):
-            missing = full[row] < 0
-            full[row, missing] = exact[r, missing]
-        return full
-    return idx.reshape(num, num_backward)
+        exact = _sample_backward_categorical(
+            prev_logw, a[rows], b, draws, period, ids=rows
+        )
+        kept = full[rows]
+        full[rows] = np.where(kept < 0, exact, kept)
+    return full
 
 
 def _normalized_backward_table(prev_logw, a, b, period):
@@ -227,9 +283,8 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
             else:
                 gen = rng.substream(seed, *path, rng.BACKWARD, t)
                 if backward == "categorical":
-                    idx = _sample_backward_categorical(
-                        prev_logw, a, b, num_backward, gen, t
-                    )
+                    draws = gen.random((num_particles, num_backward))
+                    idx = _sample_backward_categorical(prev_logw, a, b, draws, t)
                 else:
                     idx = _sample_backward_reject(
                         prev_logw, a, b, num_backward, gen, t

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import disrates as d
 from disrates.cli import main
@@ -234,3 +235,40 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "panel OK" in result.stdout
+
+
+BAD_SETTINGS = [
+    # (command, section, settings, field the message must name)
+    ("fit", "em", {"backward": "foo"}, "backward"),
+    ("fit", "em", {"num_particles": 0}, "num_particles"),
+    ("fit", "em", {"num_particles": "many"}, "num_particles"),
+    ("fit", "em", {"num_backward": 1}, "num_backward"),
+    ("fit", "em", {"num_particles": 3, "num_backward": 4}, "num_backward"),
+    ("fit", "em", {"resampling": "stratified"}, "resampling"),
+    ("fit", "em", {"max_iters": None}, "max_iters"),
+    ("fit", "filter", {"num_particles": 0}, "num_particles"),
+    ("fit", "filter", {"quantiles": [0.0, 0.5]}, "quantiles"),
+    ("fit", "filter", {"quantiles": [0.051, 0.052]}, "quantiles"),
+    ("fit", "filter", {"quantiles": 0.5}, "quantiles"),
+    ("fit", "filter", {"resampling": "stratified"}, "resampling"),
+    ("filter", "filter", {"num_particles": 0}, "num_particles"),
+    ("forecast", "forecast", {"quantiles": [0.051, 0.052]}, "quantiles"),
+    ("forecast", "forecast", {"horizon": 0}, "horizon"),
+    ("forecast", "forecast", {"num_paths": "lots"}, "num_paths"),
+]
+
+
+@pytest.mark.parametrize("command,section,settings,field", BAD_SETTINGS)
+def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, section,
+                                               settings, field):
+    body = base_config(tmp_path, em={"num_particles": 50, "max_iters": 1,
+                                     "tail_window": 1})
+    body[section] = dict(body.get(section, {}), **settings)
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    code = main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad {section} config" in err and field in err, err
+    assert not out.exists() or not any(out.iterdir())

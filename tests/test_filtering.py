@@ -184,3 +184,13 @@ def test_ancestors_recorded():
     out = d.bootstrap_filter(panel, basis, theta, 50, seed=2)
     assert out.ancestors.shape == (3, 50)
     assert out.ancestors.min() >= 0 and out.ancestors.max() < 50
+
+
+def test_quantile_labels():
+    from disrates.filtering import quantile_labels
+    assert quantile_labels([0.05, 0.5, 0.95]) == ["q05", "q50", "q95"]
+    for bad in ([0.0, 0.5], [0.5, 1.0], [np.nan], [[0.5]]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            quantile_labels(bad)
+    with pytest.raises(ValueError, match="collide"):
+        quantile_labels([0.051, 0.052])

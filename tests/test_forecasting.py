@@ -122,3 +122,13 @@ def test_forecast_csv_layout():
     assert first[:2] == ["1", "a30"]
     assert first[3] == "q25"
     assert 0.0 < float(first[4]) < 1.0
+
+
+def test_forecast_csv_rejects_colliding_labels():
+    # 0.051 and 0.052 both round to q05; the table must not get two q05 columns
+    theta, cloud = toy_theta(), terminal_cloud()
+    paths = d.simulate_future(theta, cloud, 1, 50, seed=22)
+    probs = [0.051, 0.052]
+    surface = d.rate_surface(paths, toy_basis(), toy_cells(), probs)
+    with pytest.raises(ValueError, match="collide"):
+        d.forecast_to_csv(surface, toy_cells(), probs)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import disrates as d
+from disrates import smoothing as sm
 from conftest import flat_panel, random_theta, toy_basis, toy_panel, toy_theta
 
 
@@ -171,3 +175,96 @@ def test_smoother_reproducible():
     b = d.paris_smooth(panel, basis, theta, 300, 2, seed=5)
     np.testing.assert_array_equal(a.s_mat, b.s_mat)
     np.testing.assert_array_equal(a.e_vec, b.e_vec)
+
+
+def oracle_backward_categorical(prev_logw, a, b, draws):
+    """Reference sampler: the whole N x N log-table, then one searchsorted per row."""
+    qa = np.einsum("ip,ip->i", a, a)
+    qb = np.einsum("jp,jp->j", b, b)
+    quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
+    logtable = prev_logw[None, :] - 0.5 * quad
+    table = np.exp(logtable - logtable.max(axis=1)[:, None])
+    cum = np.cumsum(table, axis=1)
+    idx = np.empty(draws.shape, dtype=np.intp)
+    for i in range(logtable.shape[0]):
+        idx[i] = np.searchsorted(cum[i], draws[i] * cum[i, -1], side="right")
+    return np.minimum(idx, logtable.shape[1] - 1)
+
+
+def whitened_clouds(gen, rows, width, p=3, spread=2.0):
+    """Particle clouds laid out as the smoother's whitening leaves them."""
+    a = np.asfortranarray(spread * gen.standard_normal((rows, p)))
+    b = np.asfortranarray(spread * gen.standard_normal((width, p)))
+    logw = gen.standard_normal(width)
+    return a, b, logw - logsumexp(logw)
+
+
+WIDTH = 300
+BLOCK = sm._block_rows(WIDTH)
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+def test_block_kernel_matches_full_table_bit_for_bit(rows):
+    gen = np.random.default_rng(rows)
+    a, b, logw = whitened_clouds(gen, rows, WIDTH)
+    draws = gen.random((rows, 3))
+    got = sm._sample_backward_categorical(logw, a, b, draws, period=2)
+    np.testing.assert_array_equal(got, oracle_backward_categorical(logw, a, b, draws))
+
+
+def test_block_kernel_matches_full_table_on_ties_and_exact_hits():
+    # Every eighth column sits at 0 and the rest at 100.  A row at 0 or 100
+    # weighs its own group exactly 1 and the other exactly 0 (exp
+    # underflows), so cum climbs in unit steps between flat runs and the
+    # draws j/k land exactly on its values.  Rows at 46 and 42.8 weigh the
+    # far group exp(-400) and exp(-720), a tiny and a subnormal weight.
+    width = 2 * BLOCK // 3
+    where = np.where(np.arange(width) % 8 == 0, 0.0, 100.0)
+    b = np.asfortranarray(where[:, None])
+    logw = np.full(width, -np.log(width))
+    levels = np.array([0.0, 100.0, 46.0, 42.8])
+    rows = 3 * sm._block_rows(width) + 5
+    a = np.asfortranarray(levels[np.arange(rows) % 4][:, None])
+    total = np.where(a[:, :1] < 50.0, np.count_nonzero(where == 0.0),
+                     np.count_nonzero(where == 100.0))
+    gen = np.random.default_rng(21)
+    draws = gen.integers(0, total, (rows, 4)) / total
+    draws[:, -1] = gen.random(rows)
+    with np.errstate(under="ignore"):
+        got = sm._sample_backward_categorical(logw, a, b, draws, period=2)
+        want = oracle_backward_categorical(logw, a, b, draws)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_block_kernel_reports_the_particle_index():
+    gen = np.random.default_rng(22)
+    rows = sm._block_rows(WIDTH) + 3
+    a, b, logw = whitened_clouds(gen, rows, WIDTH)
+    a[rows - 2] = np.nan
+    with pytest.raises(d.FilterDegeneracyError) as info:
+        sm._sample_backward_categorical(logw, a, b, gen.random((rows, 2)), period=4)
+    assert (info.value.period, info.value.particle) == (4, rows - 2)
+
+
+def test_reject_fallback_reports_the_particle_index():
+    # Row 2 lies far from the previous cloud and row 7 is NaN: both reject
+    # every proposal and reach the fallback, where row 7 must be named.
+    gen = np.random.default_rng(23)
+    a, b, logw = whitened_clouds(gen, 10, 50, p=1, spread=0.3)
+    a[2], a[7] = 50.0, np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(d.FilterDegeneracyError) as info:
+            sm._sample_backward_reject(logw, a, b, 2, gen, period=5)
+    assert (info.value.period, info.value.particle) == (5, 7)
+
+
+def test_categorical_estep_memory_is_bounded():
+    # One N x N float64 table at N=4000 is 128 MB; the E step stays far below.
+    theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
+    tracemalloc.start()
+    try:
+        d.paris_smooth(panel, basis, theta, 4000, 2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
