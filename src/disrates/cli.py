@@ -169,13 +169,14 @@ def _theta_from(args, config, key="theta0"):
 
 
 def _int_setting(spec, section, key, default):
+    """A count setting: integers and integral floats such as 1e3 pass;
+    booleans, fractions and strings do not (int() would turn true into 1,
+    2.7 into 2 and "12" into 12)."""
     value = spec.get(key, default)
-    try:
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"bad {section} config: {key} must be an integer, got {value!r}"
-        ) from None
+    raise ConfigError(f"bad {section} config: {key} must be an integer, got {value!r}")
 
 
 def _em_config(config):

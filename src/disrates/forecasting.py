@@ -5,6 +5,10 @@ uncertainty at the horizon start is carried forward, not collapsed to a
 point) and evolve by the fitted transition.  Rate fans come from latent
 quantiles mapped through the logistic, which makes probability-space
 quantiles exact images of latent-space ones.
+
+Memory: `simulate_future` stores the (horizon, paths, p) latent paths;
+`rate_surface` then needs one (cells, paths) buffer, reused across the
+horizons, so a fan costs O(C*M) on top of the H*M*p stored paths.
 """
 
 import csv
@@ -47,25 +51,28 @@ def simulate_future(theta, terminal, horizon, num_paths, seed, *,
     return out
 
 
-def _path_quantiles(values, probs):
-    """Left-continuous empirical quantiles along the last axis."""
-    ordered = np.sort(values, axis=-1)
-    count = values.shape[-1]
-    idx = np.searchsorted(np.arange(1, count + 1) / count, probs, side="left")
-    return ordered[..., np.minimum(idx, count - 1)]
-
-
 def rate_surface(paths, basis, cells, probs):
     """Quantile fans of per-cell event probabilities, (cells, horizon, probs).
 
-    Quantiles are taken on the linear predictor and mapped through the
-    logistic, so each output level is exactly the logistic image of the
-    matching latent quantile.
+    Quantiles are left-continuous empirical quantiles of the linear
+    predictor over the paths, mapped through the logistic, so each output
+    level is exactly the logistic image of the matching latent quantile.
+    The horizons are taken one at a time through one reused (cells, paths)
+    buffer, so the fan needs O(cells * paths) memory beyond `paths` itself,
+    whatever the horizon.
     """
     probs = check_quantile_levels(probs)
     design = design_matrix(basis, cells)  # (C, p)
-    logits = np.einsum("cp,hmp->chm", design, paths)
-    return logistic(_path_quantiles(logits, probs))
+    horizon, count = paths.shape[:2]
+    kth = np.searchsorted(np.arange(1, count + 1) / count, probs, side="left")
+    kth = np.minimum(kth, count - 1)
+    logits = np.empty((design.shape[0], count))
+    fan = np.empty((design.shape[0], horizon, kth.size))
+    for h, states in enumerate(paths):
+        np.einsum("cp,mp->cm", design, states, out=logits)
+        logits.sort(axis=1)
+        fan[:, h] = logits[:, kth]
+    return logistic(fan)
 
 
 def forecast_to_csv(surface, cells, probs):

@@ -58,13 +58,11 @@ def logistic(g):
 def softplus(g):
     """log(1 + e^g) with linear/exponential asymptotes beyond +-30."""
     arr = np.atleast_1d(np.asarray(g, dtype=float))
-    out = np.empty_like(arr)
-    hi = arr > _SOFTPLUS_CUT
-    lo = arr < -_SOFTPLUS_CUT
-    mid = ~(hi | lo)
-    out[hi] = arr[hi]
-    out[lo] = np.exp(arr[lo])
-    out[mid] = np.log1p(np.exp(arr[mid]))
+    with np.errstate(over="ignore"):  # e^g overflows only where g > 30
+        eg = np.exp(arr)
+    out = np.log1p(eg)
+    np.copyto(out, arr, where=arr > _SOFTPLUS_CUT)
+    np.copyto(out, eg, where=arr < -_SOFTPLUS_CUT)
     return out.reshape(np.shape(g)) if np.ndim(g) else float(out[0])
 
 

@@ -1,0 +1,113 @@
+"""Self-test of bench/ab.py from canned perfbench outputs; runs no benchmark."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_ab", Path(__file__).resolve().parent.parent / "bench" / "ab.py"
+)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+ENV = {"cores": 2, "numpy": "2.4.6", "scipy": "1.17.1", "blas_threads": 1}
+
+
+def canned_stdout(setup_s, op_s, peak_rss_mb, failed=0):
+    """What perfbench/run.py --trace 0 prints, reduced to the lines ab.py reads."""
+    result = {
+        "correct": failed == 0, "attempted": 5, "failed": failed,
+        "metrics": {
+            "setup_s": {"value": setup_s, "unit": "s"},
+            "op_s": {"value": op_s, "unit": "s"},
+            "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
+        },
+    }
+    return "\n".join([f"env {json.dumps(ENV)}", "setup_s median 0.5 s (n=5)",
+                      f"op_s {op_s} s", json.dumps(result)]) + "\n"
+
+
+def test_parse_pairs():
+    assert ab.parse_pairs("filter-forecast:401-403") == ("filter-forecast", [401, 402, 403])
+    assert ab.parse_pairs("fit-inception:7") == ("fit-inception", [7])
+    for bad in ("fit-inception", "fit-inception:9-3", ":4", "x:a-b"):
+        with pytest.raises(Exception):
+            ab.parse_pairs(bad)
+
+
+def test_parse_run_reads_env_and_metrics():
+    env, run = ab.parse_run(canned_stdout(0.5, 4.0, 1504.0, failed=1))
+    assert env == ENV
+    assert run == {"setup_s": 0.5, "op_s": 4.0, "peak_rss_mb": 1504.0,
+                   "attempted": 5, "failed": 1}
+
+
+def test_record_summary_spread_ratio_and_wins():
+    base_ops, change_ops = [5.0, 5.2, 5.1, 4.0], [3.9, 3.8, 5.1, 4.2]
+    pairs = [
+        {"seed": 401 + k, "first": "base" if k % 2 == 0 else "change",
+         "base": ab.parse_run(canned_stdout(0.5, b, 1504.0))[1],
+         "change": ab.parse_run(canned_stdout(0.5, c, 254.0))[1]}
+        for k, (b, c) in enumerate(zip(base_ops, change_ops))
+    ]
+    sides = {"base": {"commit": "a"}, "change": {"commit": "b"}}
+    record = ab.build_record("x", sides, ENV, {"filter-forecast": pairs})
+    op = record["workloads"]["filter-forecast"]["summary"]["op_s"]
+    assert op["base"] == {"median": 5.05, "q1": pytest.approx(4.75),
+                          "q3": pytest.approx(5.125)}
+    assert op["change_wins"] == 2 and op["base_wins"] == 1 and op["pairs"] == 4
+    ratios = sorted(c / b for b, c in zip(base_ops, change_ops))
+    assert op["median_ratio"] == pytest.approx((ratios[1] + ratios[2]) / 2)
+    rss = record["workloads"]["filter-forecast"]["summary"]["peak_rss_mb"]
+    assert rss["change_wins"] == 4 and rss["median_ratio"] == pytest.approx(254 / 1504)
+    setup = record["workloads"]["filter-forecast"]["summary"]["setup_s"]
+    assert setup["change_wins"] == setup["base_wins"] == 0  # ties count for neither
+    assert ab.spread([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    json.dumps(record)
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, capture_output=True)
+
+
+def test_main_alternates_sides_on_fresh_copies(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "code.py").write_text("old\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "code.py").write_text("new\n")
+    (repo / "src" / "added.py").write_text("added\n")
+    calls = []
+
+    def fake_run(tree, workload, seed):
+        side = tree.name
+        calls.append((side, seed))
+        code = (tree / "src" / "code.py").read_text()
+        assert code == ("old\n" if side == "base" else "new\n")
+        assert (tree / "src" / "added.py").exists() == (side == "change")
+        op_s = 5.0 if side == "base" else 4.0
+        return canned_stdout(0.5, op_s, 100.0)
+
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_perfbench", fake_run)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    assert ab.main(["--slug", "t", "--base", "HEAD", "--pairs", "w:1-3",
+                    "--workdir", str(workdir)]) == 0
+    assert calls == [("base", 1), ("change", 1), ("change", 2), ("base", 2),
+                     ("base", 3), ("change", 3)]
+    assert not any(workdir.iterdir())  # the copies are gone
+    record = json.loads((repo / "BENCH_t.json").read_text())
+    assert record["base"]["rev"] == "HEAD" and record["change"]["uncommitted_changes"]
+    assert record["base"]["commit"] == record["change"]["commit"]
+    assert record["base"]["code_sha256"] != record["change"]["code_sha256"]
+    assert record["environment"] == ENV
+    assert [p["first"] for p in record["workloads"]["w"]["pairs"]] == [
+        "base", "change", "base"]
+    assert record["workloads"]["w"]["summary"]["op_s"]["change_wins"] == 3

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import disrates as d
-from disrates.cli import main
+from disrates.cli import _int_setting, main
 from conftest import TOY_PHI, toy_panel, toy_theta
 
 
@@ -255,6 +255,10 @@ BAD_SETTINGS = [
     ("forecast", "forecast", {"quantiles": [0.051, 0.052]}, "quantiles"),
     ("forecast", "forecast", {"horizon": 0}, "horizon"),
     ("forecast", "forecast", {"num_paths": "lots"}, "num_paths"),
+    ("fit", "em", {"num_particles": 2.7}, "num_particles"),
+    ("fit", "em", {"max_iters": True}, "max_iters"),
+    ("forecast", "forecast", {"horizon": 1.5}, "horizon"),
+    ("filter", "filter", {"num_particles": False}, "num_particles"),
 ]
 
 
@@ -272,3 +276,13 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
     err = capsys.readouterr().err
     assert f"bad {section} config" in err and field in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_int_setting_accepts_integral_numbers_only():
+    assert _int_setting({"k": 1e3}, "em", "k", 1) == 1000
+    assert type(_int_setting({"k": 1e3}, "em", "k", 1)) is int
+    assert _int_setting({}, "em", "k", 7) == 7
+    for bad in (2.7, True, False, float("inf"), float("nan"), None, "many", "12",
+                [3]):
+        with pytest.raises(d.ConfigError, match="k must be an integer"):
+            _int_setting({"k": bad}, "em", "k", 1)

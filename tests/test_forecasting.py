@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,62 @@ def test_forecast_csv_rejects_colliding_labels():
     surface = d.rate_surface(paths, toy_basis(), toy_cells(), probs)
     with pytest.raises(ValueError, match="collide"):
         d.forecast_to_csv(surface, toy_cells(), probs)
+
+
+def whole_cube_surface(paths, basis, cells, probs):
+    """The former (C, H, M) cube version, kept as the bit-for-bit reference."""
+    design = d.design_matrix(basis, cells)
+    ordered = np.sort(np.einsum("cp,hmp->chm", design, paths), axis=-1)
+    count = paths.shape[1]
+    idx = np.searchsorted(np.arange(1, count + 1) / count, probs, side="left")
+    return d.logistic(ordered[..., np.minimum(idx, count - 1)])
+
+
+def wide_basis(num_cells, p, seed):
+    cells = tuple(d.Cell(d.StudyKind.INCEPTION, 20 + a) for a in range(num_cells))
+    phi = np.random.default_rng(seed).standard_normal((num_cells, p))
+    return cells, d.custom_basis(cells, phi)
+
+
+@pytest.mark.parametrize("count", [1, 2, 999, 1000])
+def test_streamed_surface_matches_whole_cube(count):
+    cells, basis = wide_basis(5, 3, seed=23)
+    gen = np.random.default_rng(count)
+    paths = np.cumsum(gen.standard_normal((4, count, 3)), axis=0)
+    # exact ties: repeated paths and a horizon where every path is the same
+    paths[:, count // 2:] = paths[:, : count - count // 2]
+    paths[2] = paths[2, :1]
+    for probs in ([0.05, 0.5, 0.95], [0.41, 0.45], [0.001, 0.999], [0.5]):
+        want = whole_cube_surface(paths, basis, cells, probs)
+        got = d.rate_surface(paths, basis, cells, probs)
+        assert got.shape == want.shape == (5, 4, len(probs))
+        np.testing.assert_array_equal(got, want)
+
+
+def test_levels_sharing_an_order_statistic():
+    # at M=10, 0.41 and 0.45 both pick the 5th smallest draw
+    cells, basis = wide_basis(3, 2, seed=24)
+    paths = np.random.default_rng(24).standard_normal((2, 10, 2))
+    surface = d.rate_surface(paths, basis, cells, [0.41, 0.45, 0.5, 0.51])
+    np.testing.assert_array_equal(surface[..., 0], surface[..., 1])
+    np.testing.assert_array_equal(surface[..., 1], surface[..., 2])
+    assert (surface[..., 3] > surface[..., 2]).all()
+    np.testing.assert_array_equal(
+        surface, whole_cube_surface(paths, basis, cells, [0.41, 0.45, 0.5, 0.51])
+    )
+
+
+def test_streamed_surface_memory_is_one_horizon():
+    # 42 cells x 20000 paths: one (C, M) buffer is 6.7 MB
+    cells, basis = wide_basis(42, 2, seed=25)
+    horizon, count = 10, 20_000
+    paths = np.random.default_rng(25).standard_normal((horizon, count, 2))
+    buffer_bytes = 42 * count * 8
+    tracemalloc.start()
+    try:
+        d.rate_surface(paths, basis, cells, [0.05, 0.25, 0.5, 0.75, 0.95])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (C, H, M) cube would be 42 * horizon * count * 8 bytes, 10 buffers
+    assert peak < 1.5 * buffer_bytes

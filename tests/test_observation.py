@@ -87,6 +87,49 @@ def test_logistic_and_softplus_scalars_and_arrays():
     assert d.softplus(arr).shape == arr.shape
 
 
+def masked_softplus(g):
+    """The former three-mask softplus, kept as the bit-for-bit reference."""
+    arr = np.atleast_1d(np.asarray(g, dtype=float))
+    out = np.empty_like(arr)
+    hi = arr > 30.0
+    lo = arr < -30.0
+    mid = ~(hi | lo)
+    out[hi] = arr[hi]
+    out[lo] = np.exp(arr[lo])
+    out[mid] = np.log1p(np.exp(arr[mid]))
+    return out.reshape(np.shape(g)) if np.ndim(g) else float(out[0])
+
+
+def softplus_edge_values():
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, 710.0, -709.0, -710.0,
+             -745.0, -746.0, 1e308, -1e308, 5e-324, -5e-324]
+    for cut in (30.0, -30.0):
+        edges += [cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf)]
+    return np.array(edges)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_softplus_is_bit_identical_to_masked_reference():
+    gen = np.random.default_rng(5)
+    edges = softplus_edge_values()
+    for values in (gen.normal(-3, 1.5, (42, 2000)), gen.normal(0, 300, (7, 333)),
+                   edges, edges.reshape(3, -1), edges[::-1].copy()):
+        assert_same_bits(d.softplus(values), masked_softplus(values))
+        assert_same_bits(d.softplus(values.ravel()), masked_softplus(values.ravel()))
+    for value in edges:
+        got, want = d.softplus(float(value)), masked_softplus(float(value))
+        assert type(got) is float
+        assert_same_bits(got, want)
+    assert d.softplus(np.float64(-31.0)) == masked_softplus(-31.0)
+    assert d.softplus(np.zeros((2, 0))).shape == (2, 0)
+
+
 def test_logit_prob_basic():
     assert d.logit_prob(np.array([0.0]), np.array([1.0])) == pytest.approx(0.5)
     assert d.logit_prob(np.array([-2.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(
