@@ -60,10 +60,8 @@ from .grid import (
 )
 from .latent import (
     LatentParams,
-    free_parameter_count,
     load_theta,
     require_valid,
-    sample_transition,
     step_logdensity,
     theta_from_dict,
     theta_to_dict,
@@ -74,7 +72,6 @@ from .latent import (
 from .observation import (
     PeriodSlice,
     logistic,
-    logit_prob,
     loglik,
     loglik_grad_hess,
     loglik_many,
@@ -86,15 +83,12 @@ from .panel import (
     CellPanel,
     StudyKind,
     load_panel,
-    raw_rates,
     serialize_panel,
 )
 from .smoothing import (
     SmoothedStats,
     backward_categorical,
     paris_smooth,
-    stats_from_json,
-    stats_to_json,
 )
 from .synthetic import generate, replicate_study, sample_path
 from .twostep import (

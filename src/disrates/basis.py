@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import Cell, StudyKind
+from .panel import Cell, StudyKind, read_text
 
 RANK_TOLERANCE = 1e-10
 
@@ -30,18 +30,6 @@ class BasisSet:
     age_parts: tuple = field(default=(), repr=False)
     dur_parts: tuple = field(default=(), repr=False)
     table: dict | None = field(default=None, repr=False)
-
-    @property
-    def needs_duration(self):
-        return self.kind == "tensor" or (
-            self.table is not None and self._table_has_duration
-        )
-
-    @property
-    def _table_has_duration(self):
-        return self.table is not None and any(
-            isinstance(k, tuple) for k in self.table
-        )
 
 
 def linear2(age_lo=25, age_hi=64):
@@ -87,30 +75,26 @@ def piecewise3(midpoint=40, age_lo=25, age_hi=64):
     )
 
 
-def four_factor(age_lo=25, age_hi=64):
-    """Termination tensor basis: linear age pair x (1, d) in duration."""
-    age = linear2(age_lo, age_hi)
-    dur = (lambda d: 1.0, lambda d: d)
+def _linear2_tensor(age_lo, age_hi, dur_parts):
+    """Termination tensor basis: the linear2 age pair x `dur_parts`."""
     return BasisSet(
         kind="tensor",
-        p=4,
+        p=2 * len(dur_parts),
         age_range=(age_lo, age_hi),
-        age_parts=age.age_parts,
-        dur_parts=dur,
+        age_parts=linear2(age_lo, age_hi).age_parts,
+        dur_parts=dur_parts,
     )
+
+
+def four_factor(age_lo=25, age_hi=64):
+    """Termination tensor basis: linear age pair x (1, d) in duration."""
+    return _linear2_tensor(age_lo, age_hi, (lambda d: 1.0, lambda d: d))
 
 
 def six_factor(age_lo=25, age_hi=64):
     """Termination tensor basis: linear age pair x (1, e^-d, e^-2d) in duration."""
-    age = linear2(age_lo, age_hi)
     dur = (lambda d: 1.0, lambda d: np.exp(-d), lambda d: np.exp(-2.0 * d))
-    return BasisSet(
-        kind="tensor",
-        p=6,
-        age_range=(age_lo, age_hi),
-        age_parts=age.age_parts,
-        dur_parts=dur,
-    )
+    return _linear2_tensor(age_lo, age_hi, dur)
 
 
 BUILTIN_FACTORIES = {
@@ -162,33 +146,41 @@ def custom_basis(cells, design, age_range=None):
 
 
 def load_custom_basis(source, kind):
-    """Load a tabulated basis from CSV `age[,duration],phi_1,...,phi_p`."""
+    """Load a tabulated basis from CSV `age[,duration],phi_1,...,phi_p`.
+
+    `source` is anything panel.read_text accepts; termination tables, and
+    only they, carry the duration column.  A wrong header, a field that is
+    not a number or a row of the wrong width raises ValueError naming its line.
+    """
     kind = StudyKind(kind)
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
-        if "\n" not in text:
-            with open(text, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    key_cols = 1 if kind is StudyKind.INCEPTION else 2
-    cells = []
-    rows = []
-    for row in reader:
+    keys = ("age",) if kind is StudyKind.INCEPTION else ("age", "duration")
+    reader = csv.reader(io.StringIO(read_text(source)))
+    header = tuple(h.strip() for h in next(reader, ()))
+    phis = tuple(f"phi_{i}" for i in range(1, len(header) - len(keys) + 1))
+    if not phis or header != keys + phis:
+        raise ValueError(
+            f"custom basis line 1: expected header {','.join(keys)},phi_1..phi_p, "
+            f"got {','.join(header)!r}"
+        )
+    cells, rows = [], []
+    for line, row in enumerate(reader, start=2):
         if not row or all(not f.strip() for f in row):
             continue
-        age = int(row[0])
-        if kind is StudyKind.INCEPTION:
-            cells.append(Cell(StudyKind.INCEPTION, age))
-        else:
-            # Width is irrelevant to basis evaluation; lookups key on the
-            # bucket start only.
-            cells.append(Cell(StudyKind.TERMINATION, age, float(row[1]), 1.0))
-        rows.append([float(v) for v in row[key_cols:]])
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("ragged custom basis table")
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            age = int(row[0])
+            if kind is StudyKind.INCEPTION:
+                cells.append(Cell(StudyKind.INCEPTION, age))
+            else:
+                # Width is irrelevant to basis evaluation; lookups key on the
+                # bucket start only.
+                cells.append(Cell(StudyKind.TERMINATION, age, float(row[1]), 1.0))
+            rows.append([float(v) for v in row[len(keys):]])
+        except ValueError as exc:
+            raise ValueError(f"custom basis line {line}: {exc}") from None
+    if not rows:
+        raise ValueError("custom basis table has no data rows")
     return custom_basis(cells, np.asarray(rows))
 
 

@@ -3,8 +3,8 @@
 One JSON config fully determines a run; the seed and a few paths can be
 overridden on the command line.  Every command writes its tables plus a
 manifest (seed, resolved config, config hash, package versions) from which
-the run can be reproduced exactly.  Worker counts are explicitly excluded
-from outputs: results are byte-identical whatever --threads says.
+the run can be reproduced exactly.  No command starts worker threads of
+its own; --threads is still accepted and has no effect.
 """
 
 import argparse
@@ -36,7 +36,7 @@ from .filtering import (
     quantile_labels,
 )
 from .forecasting import forecast_to_csv, rate_surface, simulate_future
-from .latent import load_theta, theta_from_dict, theta_to_json
+from .latent import load_theta, require_valid, theta_from_dict, theta_to_json
 from .panel import Cell, StudyKind, load_panel, serialize_panel
 from .synthetic import generate
 from .twostep import two_step_fit, yearly_fit_to_csv
@@ -71,7 +71,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for parallel sections; never affects results")
+                        help="accepted and ignored; no command starts worker threads")
     parser.add_argument("--theta0", default=None,
                         help="JSON parameter file (initial point, or the "
                              "parameters for filter/forecast)")
@@ -121,6 +121,8 @@ def _build_basis(config, kind):
             return load_custom_basis(Path(table), kind)
         except OSError as exc:
             raise ConfigError(f"cannot read basis table: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"bad basis table: {exc}") from exc
     try:
         return builtin(name, **params)
     except (KeyError, TypeError, ValueError) as exc:
@@ -161,10 +163,10 @@ def _theta_from(args, config, key="theta0"):
     if path is None:
         return None
     try:
-        return load_theta(Path(path))
+        return require_valid(load_theta(Path(path)))
     except OSError as exc:
         raise ConfigError(f"cannot read parameter file: {exc}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter file: {exc}") from exc
 
 
@@ -266,7 +268,7 @@ def _cmd_validate(args, config, outdir, seed):
 def _cmd_baseline(args, config, outdir, seed):
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
-    fit, theta0 = two_step_fit(panel, basis, threads=args.threads)
+    fit, theta0 = two_step_fit(panel, basis)
     _write(outdir, "yearly.csv", yearly_fit_to_csv(fit))
     _write(outdir, "theta0.json", theta_to_json(theta0))
     _write_manifest(outdir, "baseline", seed, config)
@@ -281,7 +283,7 @@ def _cmd_fit(args, config, outdir, seed):
     theta0 = _theta_from(args, config)
     if theta0 is None:
         print("no initial parameters given; running the two-step baseline")
-        _, theta0 = two_step_fit(panel, basis, threads=args.threads)
+        _, theta0 = two_step_fit(panel, basis)
     trace = em_fit(panel, basis, theta0, em_config, seed)
     _write(outdir, "trace.csv", trace_to_csv(trace))
     _write(outdir, "theta_hat.json", theta_to_json(trace.theta_final))
@@ -341,7 +343,7 @@ def _cmd_synth(args, config, outdir, seed):
         theta = _theta_from(args, {"theta0": theta_spec})
     else:
         try:
-            theta = theta_from_dict(theta_spec)
+            theta = require_valid(theta_from_dict(theta_spec))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synth theta: {exc}") from exc
     n = int(_require(spec, "periods"))

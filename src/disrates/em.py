@@ -110,22 +110,30 @@ def q_value(theta, stats):
     return -0.5 * stats.n * logdet - 0.5 * trace
 
 
-def _pack(theta):
-    p = theta.p
-    low = np.tril_indices(p)
-    a = theta.chol.copy()
+def _chol_to_free(chol):
+    """Lower triangle of a Cholesky factor, row-major, diagonal logged."""
+    p = chol.shape[0]
+    a = chol.copy()
     a[np.diag_indices(p)] = np.log(np.diag(a))
-    return np.concatenate([theta.mu, theta.nu0, a[low]])
+    return a[np.tril_indices(p)]
+
+
+def _chol_from_free(vec, p):
+    """Inverse of _chol_to_free: any real vector gives a valid factor."""
+    a = np.zeros((p, p))
+    a[np.tril_indices(p)] = vec
+    a[np.diag_indices(p)] = np.exp(np.diag(a))
+    return a
+
+
+def _pack(theta):
+    return np.concatenate([theta.mu, theta.nu0, _chol_to_free(theta.chol)])
 
 
 def _unpack(vec, p):
-    low = np.tril_indices(p)
-    mu = vec[:p]
-    nu0 = vec[p:2 * p]
-    a = np.zeros((p, p))
-    a[low] = vec[2 * p:]
-    a[np.diag_indices(p)] = np.exp(np.diag(a))
-    return LatentParams(mu=mu, chol=a, nu0=nu0)
+    return LatentParams(
+        mu=vec[:p], chol=_chol_from_free(vec[2 * p:], p), nu0=vec[p:2 * p]
+    )
 
 
 def maximize_q_numeric(stats, start):
@@ -157,14 +165,8 @@ def _numeric_pd_repair(stats, prev_theta):
     low = np.tril_indices(p)
     diag_positions = np.flatnonzero(low[0] == low[1])
 
-    def unpack_a(vec):
-        a = np.zeros((p, p))
-        a[low] = vec
-        a[np.diag_indices(p)] = np.exp(np.diag(a))
-        return a
-
     def objective(vec):
-        a = unpack_a(vec)
+        a = _chol_from_free(vec, p)
         sigma = a @ a.T
         try:
             factor = cholesky(sigma, lower=True)
@@ -175,15 +177,15 @@ def _numeric_pd_repair(stats, prev_theta):
         return 0.5 * stats.n * logdet + 0.5 * trace
 
     start = prev_theta.chol.copy()
-    start[np.diag_indices(p)] = np.log(np.maximum(np.diag(start), DIAG_FLOOR))
-    x0 = start[low]
+    np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))
+    x0 = _chol_to_free(start)
     bounds = [(None, None)] * x0.size
     for pos in diag_positions:
         bounds[pos] = (np.log(DIAG_FLOOR), None)
     result = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
     if not np.all(np.isfinite(result.x)):
         return None
-    return LatentParams(mu=mu, chol=unpack_a(result.x), nu0=nu0)
+    return LatentParams(mu=mu, chol=_chol_from_free(result.x, p), nu0=nu0)
 
 
 def _tail_average(thetas, window):

@@ -18,6 +18,7 @@ from scipy.special import logsumexp
 from . import rng
 from .basis import check_rank
 from .errors import FilterDegeneracyError
+from .latent import require_valid, step
 from .observation import loglik_many, make_slices
 
 RESAMPLING_METHODS = ("multinomial", "systematic")
@@ -32,10 +33,6 @@ class ParticleCloud:
     period: int
 
     @property
-    def size(self):
-        return self.particles.shape[0]
-
-    @property
     def weights(self):
         return np.exp(self.log_weights)
 
@@ -43,16 +40,8 @@ class ParticleCloud:
 @dataclass(frozen=True)
 class FilterOutput:
     clouds: list  # ParticleCloud per period, post-weighting pre-resampling
-    ancestors: np.ndarray  # (n-1, N) resampled indices feeding periods 2..n
     loglik_estimate: float
     ess: np.ndarray  # (n,)
-
-    @property
-    def n(self):
-        return len(self.clouds)
-
-    def filter_means(self):
-        return np.array([filter_mean(c) for c in self.clouds])
 
 
 def filter_mean(cloud):
@@ -105,67 +94,75 @@ def ess(cloud):
     return 1.0 / float(w @ w)
 
 
-def _resample_indices(weights, size, gen, method):
+def inverse_cdf(weights, u):
+    """Index k for each uniform in u, where cumw[k-1] <= u < cumw[k].
+
+    cumw is the running sum of `weights` with its last entry pinned to 1.0,
+    so rounding in the sum can never yield the out-of-range index len(weights)
+    and zero-weight entries are never drawn (save the last, which takes up
+    any rounding shortfall).
+    """
     cumw = np.cumsum(weights)
     cumw[-1] = 1.0
+    return np.searchsorted(cumw, u, side="right")
+
+
+def _resample_indices(weights, size, gen, method):
     if method == "multinomial":
         u = gen.random(size)
     elif method == "systematic":
         u = (gen.random() + np.arange(size)) / size
     else:
         raise ValueError(f"unknown resampling method {method!r}")
-    return np.searchsorted(cumw, u, side="right")
+    return inverse_cdf(weights, u)
 
 
 def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial", path=()):
     """Generator over filter periods.
 
-    Yields (t, particles, normalized log-weights, ancestors, loglik_so_far)
-    with particles post-weighting, pre-resampling; ancestors is None at t=1.
-    The smoother consumes this directly so that filter and smoother clouds
-    coincide for a given seed.
+    Yields (t, particles, normalized log-weights, loglik_so_far) with
+    particles post-weighting, pre-resampling.  The smoother consumes this
+    directly so that filter and smoother clouds coincide for a given seed.
     """
     n = len(slices)
-    mu, chol, nu0 = theta.mu, theta.chol, theta.nu0
-    p = theta.p
+    shape = (num_particles, theta.p)
     loglik_total = 0.0
     particles = None
     log_weights = None
     for t in range(1, n + 1):
         if t == 1:
             gen = rng.substream(seed, *path, rng.INIT)
-            particles = nu0 + mu + gen.standard_normal((num_particles, p)) @ chol.T
-            ancestors = None
+            particles = step(theta, theta.nu0, gen.standard_normal(shape))
         else:
             rgen = rng.substream(seed, *path, rng.RESAMPLE, t)
             ancestors = _resample_indices(
                 np.exp(log_weights), num_particles, rgen, resampling
             )
             pgen = rng.substream(seed, *path, rng.PROPAGATE, t)
-            noise = pgen.standard_normal((num_particles, p))
-            particles = particles[ancestors] + mu + noise @ chol.T
+            noise = pgen.standard_normal(shape)
+            particles = step(theta, particles[ancestors], noise)
         logw = loglik_many(particles, slices[t - 1])
         norm = logsumexp(logw)
         if not np.isfinite(norm):
             raise FilterDegeneracyError(period=t)
         loglik_total += norm - np.log(num_particles)
         log_weights = logw - norm
-        yield t, particles, log_weights, ancestors, loglik_total
+        yield t, particles, log_weights, loglik_total
 
 
 def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
                      resampling="multinomial", path=()):
     """Run the filter over a panel; returns a FilterOutput."""
+    require_valid(theta)
     if num_particles < 1:
         raise ValueError("need at least one particle")
     if not check_rank(basis, panel.cells):
         raise ValueError("design matrix is rank deficient over the panel cells")
     slices = make_slices(panel, basis)
     clouds = []
-    ancestor_rows = []
     ess_values = []
     loglik_total = 0.0
-    for t, particles, log_weights, ancestors, loglik_total in forward_pass(
+    for t, particles, log_weights, loglik_total in forward_pass(
         slices, theta, num_particles, seed, resampling=resampling, path=path
     ):
         cloud = ParticleCloud(
@@ -173,16 +170,8 @@ def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
         )
         clouds.append(cloud)
         ess_values.append(ess(cloud))
-        if ancestors is not None:
-            ancestor_rows.append(ancestors)
-    ancestors_arr = (
-        np.array(ancestor_rows)
-        if ancestor_rows
-        else np.empty((0, num_particles), dtype=np.intp)
-    )
     return FilterOutput(
         clouds=clouds,
-        ancestors=ancestors_arr,
         loglik_estimate=float(loglik_total),
         ess=np.array(ess_values),
     )

@@ -18,8 +18,13 @@ import numpy as np
 
 from . import rng
 from .basis import design_matrix
-from .filtering import check_quantile_levels, filter_mean, quantile_labels
-from .latent import require_valid
+from .filtering import (
+    check_quantile_levels,
+    filter_mean,
+    inverse_cdf,
+    quantile_labels,
+)
+from .latent import require_valid, step
 from .observation import logistic
 
 
@@ -38,15 +43,12 @@ def simulate_future(theta, terminal, horizon, num_paths, seed, *,
         current = np.tile(filter_mean(terminal), (num_paths, 1))
     else:
         gen = rng.substream(seed, *path, rng.FORECAST, 0)
-        cumw = np.cumsum(terminal.weights)
-        cumw[-1] = 1.0
-        picks = np.searchsorted(cumw, gen.random(num_paths), side="right")
-        current = terminal.particles[picks].copy()
+        picks = inverse_cdf(terminal.weights, gen.random(num_paths))
+        current = terminal.particles[picks]
     out = np.empty((horizon, num_paths, theta.p))
     for h in range(1, horizon + 1):
         gen = rng.substream(seed, *path, rng.FORECAST, h)
-        noise = gen.standard_normal((num_paths, theta.p))
-        current = current + theta.mu + noise @ theta.chol.T
+        current = step(theta, current, gen.standard_normal((num_paths, theta.p)))
         out[h - 1] = current
     return out
 

@@ -45,11 +45,6 @@ class LatentParams:
         return np.sqrt(np.diag(self.step_cov))
 
 
-def free_parameter_count(p):
-    """Number of free parameters: p(p+1)/2 for the factor plus 2p."""
-    return p * (p + 1) // 2 + 2 * p
-
-
 def validate(theta):
     """List of invariant violations; empty iff theta is valid."""
     problems = []
@@ -94,14 +89,14 @@ def step_logdensity(theta, deltas):
     return -0.5 * np.sum(z * z, axis=0) - halflogdet - 0.5 * theta.p * _LOG_2PI
 
 
-def sample_transition(theta, nu_prev, rng):
-    """One random-walk step from nu_prev; nu_prev may be (p,) or (N, p)."""
-    nu_prev = np.asarray(nu_prev, dtype=float)
-    if nu_prev.ndim == 1:
-        noise = rng.standard_normal(theta.p)
-        return nu_prev + theta.mu + theta.chol @ noise
-    noise = rng.standard_normal(nu_prev.shape)
-    return nu_prev + theta.mu + noise @ theta.chol.T
+def step(theta, states, noise):
+    """One random-walk step from `states` driven by standard normal `noise`.
+
+    `noise` has one row of p draws per path, (M, p); `states` is (M, p) or
+    one (p,) start shared by all paths.  The terms are added left to right,
+    (states + mu) + noise @ cholᵀ; outputs depend on that order.
+    """
+    return states + theta.mu + noise @ theta.chol.T
 
 
 def theta_to_dict(theta):

@@ -66,14 +66,6 @@ def softplus(g):
     return out.reshape(np.shape(g)) if np.ndim(g) else float(out[0])
 
 
-def logit_prob(nu, phi):
-    """Event probability logistic(<nu, phi>) for one cell."""
-    g = float(np.dot(nu, phi))
-    if not np.isfinite(g):
-        raise ValueError("non-finite linear predictor")
-    return float(logistic(g))
-
-
 def loglik(nu, period):
     """Binomial log-likelihood of one period at state nu, constants dropped."""
     g = period.design @ np.asarray(nu, dtype=float)

@@ -168,7 +168,7 @@ def load_panel(source, schema):
     the inception or termination column layout (see module constants).
     """
     schema = StudyKind(schema)
-    text = _read_text(source)
+    text = read_text(source)
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -269,16 +269,8 @@ def serialize_panel(panel):
     return out.getvalue()
 
 
-def raw_rates(panel):
-    """Observed event rates N/E per cell and period; NaN where exposure is 0."""
-    exposure = panel.exposure.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = panel.events / exposure
-    rates[exposure == 0] = np.nan
-    return rates
-
-
-def _read_text(source):
+def read_text(source):
+    """The text of `source`: a path, CSV text, bytes, or a file object."""
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if hasattr(source, "read"):

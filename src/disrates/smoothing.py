@@ -21,7 +21,6 @@ backward-smoothing estimator; it builds whole N x N tables, costing O(N²)
 time and memory, and is intended for cross-checks.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from scipy.special import logsumexp
 from . import rng
 from .basis import check_rank
 from .errors import FilterDegeneracyError
-from .filtering import forward_pass
+from .filtering import forward_pass, inverse_cdf
 from .latent import step_logdensity
 from .observation import make_slices
 
@@ -59,36 +58,6 @@ class SmoothedStats:
     num_particles: int
     num_backward: int
 
-    @property
-    def p(self):
-        return self.s_vec.shape[0]
-
-
-def stats_to_json(stats):
-    doc = {
-        "S_ij": stats.s_mat.tolist(),
-        "S_i": stats.s_vec.tolist(),
-        "E_ij": stats.e_mat.tolist(),
-        "E_i": stats.e_vec.tolist(),
-        "n": stats.n,
-        "N": stats.num_particles,
-        "Ntilde": stats.num_backward,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def stats_from_json(text):
-    doc = json.loads(text)
-    return SmoothedStats(
-        s_mat=np.asarray(doc["S_ij"], dtype=float),
-        s_vec=np.asarray(doc["S_i"], dtype=float),
-        e_mat=np.asarray(doc["E_ij"], dtype=float),
-        e_vec=np.asarray(doc["E_i"], dtype=float),
-        n=int(doc["n"]),
-        num_particles=int(doc["N"]),
-        num_backward=int(doc["Ntilde"]),
-    )
-
 
 def backward_categorical(theta, prev_cloud, target):
     """Backward-kernel probabilities over the previous cloud for one target."""
@@ -109,13 +78,6 @@ def _whitened(theta, prev_particles, particles):
     a = solve_triangular(theta.chol, (particles - theta.mu).T, lower=True).T
     b = solve_triangular(theta.chol, prev_particles.T, lower=True).T
     return a, b
-
-
-def _backward_logtable(prev_logw, a, b):
-    qa = np.einsum("ip,ip->i", a, a)
-    qb = np.einsum("jp,jp->j", b, b)
-    quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
-    return prev_logw[None, :] - 0.5 * quad
 
 
 def _block_rows(width):
@@ -199,13 +161,12 @@ def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
     num = a.shape[0]
     qa = np.einsum("ip,ip->i", a, a)
     qb = np.einsum("jp,jp->j", b, b)
-    cumw = np.cumsum(np.exp(prev_logw))
-    cumw[-1] = 1.0
+    prev_w = np.exp(prev_logw)
     idx = np.full(num * num_backward, -1, dtype=np.intp)
     alive = np.arange(num * num_backward)
     for _ in range(_REJECT_MAX_ROUNDS):
         rows = alive // num_backward
-        prop = np.searchsorted(cumw, gen.random(alive.size), side="right")
+        prop = inverse_cdf(prev_w, gen.random(alive.size))
         quad = qa[rows] + qb[prop] - 2.0 * np.einsum("kp,kp->k", a[rows], b[prop])
         accept = gen.random(alive.size) < np.exp(-0.5 * quad)
         idx[alive[accept]] = prop[accept]
@@ -225,7 +186,10 @@ def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
 
 
 def _normalized_backward_table(prev_logw, a, b, period):
-    logtable = _backward_logtable(prev_logw, a, b)
+    qa = np.einsum("ip,ip->i", a, a)
+    qb = np.einsum("jp,jp->j", b, b)
+    quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
+    logtable = prev_logw[None, :] - 0.5 * quad
     norms = logsumexp(logtable, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
@@ -254,7 +218,7 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
     prev_logw = None
     log_weights = None
     n = len(slices)
-    for t, particles, log_weights, _, _ in forward_pass(
+    for t, particles, log_weights, _ in forward_pass(
         slices, theta, num_particles, seed, resampling=resampling, path=path
     ):
         if t == 1:

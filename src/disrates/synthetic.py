@@ -36,6 +36,8 @@ def _exposure_table(exposures, num_cells, n):
 
 def sample_path(theta, n, gen):
     """One latent path ν_1..ν_n."""
+    # A cumulative sum, not repeated latent.step: it rounds differently, and
+    # the panels and paths `synth` writes are pinned to these bytes.
     noise = gen.standard_normal((n, theta.p))
     steps = theta.mu + noise @ theta.chol.T
     return theta.nu0 + np.cumsum(steps, axis=0)

@@ -11,7 +11,6 @@ comparison target for the volatility-shrinkage analysis.
 import csv
 import io
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,20 +85,11 @@ def _interior(hess):
     return bool(np.linalg.eigvalsh(-hess).min() >= MIN_CURVATURE)
 
 
-def fit_yearly(panel, basis, threads=None):
-    """Maximize the per-period likelihoods independently.
-
-    Periods are independent; `threads` caps the worker pool.  Results are
-    assembled by period index, so the outcome does not depend on scheduling.
-    """
+def fit_yearly(panel, basis):
+    """Maximize the per-period likelihoods independently, in period order."""
     if not check_rank(basis, panel.cells):
         raise ValueError("design matrix is rank deficient over the panel cells")
-    slices = make_slices(panel, basis)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(newton_maximize, slices))
-    else:
-        results = [newton_maximize(s) for s in slices]
+    results = [newton_maximize(s) for s in make_slices(panel, basis)]
     nu_hat = np.array([r[0] for r in results])
     converged = np.array([r[1] for r in results])
     values = np.array([r[2] for r in results])
@@ -132,9 +122,9 @@ def estimate_theta0(fit):
     return LatentParams(mu=mu, chol=chol, nu0=nu0)
 
 
-def two_step_fit(panel, basis, threads=None):
+def two_step_fit(panel, basis):
     """Yearly fits followed by random-walk estimation; returns both."""
-    fit = fit_yearly(panel, basis, threads=threads)
+    fit = fit_yearly(panel, basis)
     return fit, estimate_theta0(fit)
 
 

@@ -122,3 +122,37 @@ def test_custom_basis_rejects_nonfinite_and_duplicates():
         d.custom_basis([cell(30)], [[np.inf]])
     with pytest.raises(ValueError, match="duplicate"):
         d.custom_basis([cell(30), cell(30)], [[1.0], [2.0]])
+
+
+BAD_TABLES = {
+    # case: (study kind, table text, what the message must name)
+    "foreign-header": ("inception", "foo,bar\n30,1.0\n",
+                       "line 1: expected header age,phi_1..phi_p"),
+    "phi-gap": ("inception", "age,phi_1,phi_3\n30,1.0,2.0\n", "line 1"),
+    "duration-in-inception": ("inception", "age,duration,phi_1\n30,0.0,1.0\n", "line 1"),
+    "no-duration-in-termination": ("termination", "age,phi_1\n30,1.0\n",
+                                   "line 1: expected header age,duration"),
+    "no-phi": ("inception", "age\n30\n", "line 1"),
+    "empty": ("inception", "", "line 1"),
+    "text-phi": ("inception", "age,phi_1\n30,1.0\n31,x\n", "line 3: could not convert"),
+    "fractional-age": ("inception", "age,phi_1\n30.5,1.0\n", "line 2"),
+    "text-duration": ("termination", "age,duration,phi_1\n30,soon,1.0\n", "line 2"),
+    "negative-duration": ("termination", "age,duration,phi_1\n30,-1.0,1.0\n",
+                          "line 2: duration"),
+    "short-row": ("inception", "age,phi_1,phi_2\n30,1.0,0.5\n31,0.5\n",
+                  "line 3: expected 3 fields"),
+    "long-row": ("inception", "age,phi_1\n30,1.0,2.0\n", "line 2: expected 2 fields"),
+    "no-rows": ("inception", "age,phi_1\n\n", "no data rows"),
+}
+
+
+@pytest.mark.parametrize("kind,text,message", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_custom_basis_table_errors_name_the_line(kind, text, message):
+    with pytest.raises(ValueError, match=message):
+        d.load_custom_basis(io.StringIO(text), kind)
+
+
+def test_custom_basis_header_tolerates_spaces_and_blank_rows():
+    text = "age, phi_1 ,phi_2\n\n30,1.0,0.25\n, ,\n31,0.5,0.5\n"
+    basis = d.load_custom_basis(io.StringIO(text), "inception")
+    np.testing.assert_allclose(d.eval_design(basis, cell(30)), [1.0, 0.25])

@@ -286,3 +286,63 @@ def test_int_setting_accepts_integral_numbers_only():
                 [3]):
         with pytest.raises(d.ConfigError, match="k must be an integer"):
             _int_setting({"k": bad}, "em", "k", 1)
+
+
+TEXT_PHI = "age,phi_1\n30,0.8\n40,x\n50,1.2\n"
+BAD_FILES = {
+    # case: (command, theta chol or None, basis table text or None, message text)
+    "fit-theta": ("fit", [[-0.3]], None, "bad parameter file: invalid latent parameters"),
+    "filter-theta": ("filter", [[-0.3]], None,
+                     "bad parameter file: invalid latent parameters"),
+    "forecast-theta": ("forecast", [[-0.3]], None,
+                       "bad parameter file: invalid latent parameters"),
+    "filter-nan-theta": ("filter", [[np.nan]], None, "non-finite"),
+    "fit-basis-header": ("fit", None, "foo,bar\n30,0.8\n40,1.0\n50,1.2\n",
+                         "bad basis table: custom basis line 1"),
+    "filter-basis-number": ("filter", None, TEXT_PHI,
+                            "bad basis table: custom basis line 3"),
+    "forecast-basis-ragged": ("forecast", None, "age,phi_1\n30,0.8\n40,1.0,2.0\n50,1.2\n",
+                              "line 3: expected 2 fields"),
+    "baseline-basis-number": ("baseline", None, TEXT_PHI, "line 3"),
+    "synth-basis-number": ("synth", None, TEXT_PHI, "line 3"),
+}
+
+
+@pytest.mark.parametrize("command,chol,table,message", BAD_FILES.values(), ids=BAD_FILES)
+def test_bad_input_file_exits_2_before_any_output(tmp_path, capsys, command, chol,
+                                                  table, message):
+    body = base_config(
+        tmp_path,
+        em={"num_particles": 50, "max_iters": 1, "tail_window": 1},
+        synth={"cells": {"ages": [30, 40, 50]}, "theta": d.theta_to_dict(toy_theta()),
+               "periods": 4, "exposure": 50},
+    )
+    if table is not None:
+        target = tmp_path / "bad_basis.csv"
+        target.write_text(table, encoding="utf-8")
+        body["basis"] = {"kind": "custom", "table": str(target)}
+    theta = toy_theta()
+    if chol is not None:
+        theta = d.LatentParams(theta.mu, chol, theta.nu0)
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    code = main([command, "--config", config, "--theta0", write_theta(tmp_path, theta),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_invalid_inline_synth_theta_exits_2(tmp_path, capsys):
+    body = base_config(
+        tmp_path,
+        synth={"cells": {"ages": [30, 40, 50]},
+               "theta": {"mu": [0.0], "chol": [[-0.3]], "nu0": [-2.0]},
+               "periods": 4, "exposure": 50},
+    )
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", config, "--out", str(out)]) == 2
+    assert "bad synth theta: invalid latent parameters" in capsys.readouterr().err
+    assert not any(out.iterdir())

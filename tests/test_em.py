@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 import disrates as d
-from disrates.em import _numeric_pd_repair
-from conftest import random_stats, toy_basis, toy_panel, toy_theta
+from disrates.em import (
+    DIAG_FLOOR,
+    _chol_from_free,
+    _chol_to_free,
+    _numeric_pd_repair,
+    _pack,
+    _unpack,
+)
+from conftest import random_stats, random_theta, toy_basis, toy_panel, toy_theta
 
 
 def scalar_stats(s_vec, s_mat, e_vec, e_mat, n):
@@ -133,6 +140,31 @@ def test_numeric_pd_repair_recovers_usable_theta():
     assert repaired is not None
     assert repaired.chol[0, 0] > 0
     assert d.q_value(repaired, stats) >= d.q_value(prev, stats) - 1e-9
+
+
+def test_cholesky_codec_round_trip():
+    gen = np.random.default_rng(31)
+    theta = random_theta(gen, 3)
+    free = _chol_to_free(theta.chol)
+    assert free.shape == (6,)
+    np.testing.assert_allclose(_chol_from_free(free, 3), theta.chol, rtol=1e-14)
+    again = _unpack(_pack(theta), 3)
+    np.testing.assert_array_equal(again.mu, theta.mu)
+    np.testing.assert_array_equal(again.nu0, theta.nu0)
+    np.testing.assert_allclose(again.chol, theta.chol, rtol=1e-14)
+    # every real vector decodes to a valid factor
+    decoded = _chol_from_free(gen.normal(0.0, 3.0, size=6), 3)
+    assert d.validate(d.LatentParams(np.zeros(3), decoded, np.zeros(3))) == []
+
+
+@pytest.mark.parametrize("start_sd", [0.5, 1e-12])
+def test_numeric_pd_repair_floor_binds(start_sd):
+    # A noiseless path makes the covariance part unbounded as A -> 0, so the
+    # repair stops at the floor; a start below the floor is lifted onto it.
+    stats = scalar_stats(1.0, 1.0, 2.0, 4.0, n=2)
+    prev = d.LatentParams(mu=[0.2], chol=[[start_sd]], nu0=[1.0])
+    repaired = _numeric_pd_repair(stats, prev)
+    assert repaired.chol[0, 0] == pytest.approx(DIAG_FLOOR, rel=1e-6)
 
 
 def test_trace_csv_layout():

@@ -179,11 +179,28 @@ def test_filter_csv_layout():
     assert float(fields[2]) == pytest.approx(d.filter_mean(out.clouds[0])[0])
 
 
-def test_ancestors_recorded():
+def test_inverse_cdf_pins_the_last_cumulative_weight():
+    from disrates.filtering import inverse_cdf
+    weights = np.full(10, 0.1)
+    u = np.nextafter(1.0, 0.0)
+    # the running sum ends at u itself, so without the pin the draw would be
+    # the out-of-range index 10
+    assert np.cumsum(weights)[-1] == u
+    assert inverse_cdf(weights, u) == 9
+
+
+def test_inverse_cdf_never_draws_zero_weights():
+    from disrates.filtering import inverse_cdf
+    got = inverse_cdf(np.array([0.0, 0.5, 0.0, 0.5]), np.array([0.0, 0.49, 0.5, 0.999]))
+    np.testing.assert_array_equal(got, [1, 1, 3, 3])
+
+
+@pytest.mark.parametrize("chol", [[[-0.3]], [[0.0]], [[np.nan]]])
+def test_bootstrap_filter_rejects_invalid_theta(chol):
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
-    out = d.bootstrap_filter(panel, basis, theta, 50, seed=2)
-    assert out.ancestors.shape == (3, 50)
-    assert out.ancestors.min() >= 0 and out.ancestors.max() < 50
+    bad = d.LatentParams(theta.mu, chol, theta.nu0)
+    with pytest.raises(ValueError, match="invalid latent parameters"):
+        d.bootstrap_filter(panel, basis, bad, 100, seed=1)
 
 
 def test_quantile_labels():

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 import disrates as d
+from disrates.latent import step
 from conftest import random_theta
 
 
@@ -56,19 +57,23 @@ def test_transition_rejects_nonfinite_states():
 def test_sample_transition_moments():
     gen = np.random.default_rng(8)
     theta = random_theta(gen, 2)
-    start = np.zeros(2)
-    draws = d.sample_transition(theta, np.tile(start, (200000, 1)), gen)
+    draws = step(theta, np.zeros((200000, 2)), gen.standard_normal((200000, 2)))
     np.testing.assert_allclose(draws.mean(axis=0), theta.mu, atol=4 * 0.6 / np.sqrt(200000) + 0.01)
     np.testing.assert_allclose(
         np.cov(draws.T), theta.step_cov, rtol=0.05, atol=0.01
     )
 
 
-def test_sample_transition_single_state_shape():
+def test_step_from_a_shared_start_matches_the_tiled_start_bitwise():
     gen = np.random.default_rng(9)
     theta = random_theta(gen, 3)
-    out = d.sample_transition(theta, np.zeros(3), gen)
-    assert out.shape == (3,)
+    noise = gen.standard_normal((50, 3))
+    shared = step(theta, theta.nu0, noise)
+    assert shared.shape == (50, 3)
+    np.testing.assert_array_equal(shared, step(theta, np.tile(theta.nu0, (50, 1)), noise))
+    np.testing.assert_allclose(
+        shared[0], theta.nu0 + theta.mu + theta.chol @ noise[0], rtol=1e-14
+    )
 
 
 def test_theta_json_round_trip(tmp_path):
@@ -82,12 +87,6 @@ def test_theta_json_round_trip(tmp_path):
     target.write_text(text, encoding="utf-8")
     loaded = d.load_theta(target)
     np.testing.assert_array_equal(theta.chol, loaded.chol)
-
-
-def test_free_parameter_count():
-    assert d.free_parameter_count(1) == 3
-    assert d.free_parameter_count(2) == 7
-    assert d.free_parameter_count(4) == 18
 
 
 def test_scalar_inputs_coerced():

@@ -130,13 +130,6 @@ def test_softplus_is_bit_identical_to_masked_reference():
     assert d.softplus(np.zeros((2, 0))).shape == (2, 0)
 
 
-def test_logit_prob_basic():
-    assert d.logit_prob(np.array([0.0]), np.array([1.0])) == pytest.approx(0.5)
-    assert d.logit_prob(np.array([-2.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(
-        1 / (1 + np.exp(2.0))
-    )
-
-
 def test_make_slices_shapes():
     slices = d.make_slices(toy_panel(), toy_basis())
     assert len(slices) == 4

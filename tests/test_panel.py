@@ -121,14 +121,6 @@ def test_panel_arrays_are_immutable():
         panel.exposure[0, 0] = 7
 
 
-def test_raw_rates_nan_on_zero_exposure():
-    cell = (d.Cell(d.StudyKind.INCEPTION, 30),)
-    panel = d.CellPanel(cell, np.array([[10, 0]]), np.array([[2, 0]]))
-    rates = d.raw_rates(panel)
-    assert rates[0, 0] == pytest.approx(0.2)
-    assert np.isnan(rates[0, 1])
-
-
 def test_load_from_path(tmp_path):
     target = tmp_path / "panel.csv"
     target.write_text(INCEPTION_CSV, encoding="utf-8")

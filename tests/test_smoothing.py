@@ -157,18 +157,6 @@ def test_parameter_validation():
         d.paris_smooth(panel, basis, theta, 2, 3, seed=1)
 
 
-def test_stats_json_round_trip():
-    gen = np.random.default_rng(16)
-    theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
-    stats = d.paris_smooth(panel, basis, theta, 200, 2, seed=8)
-    again = d.stats_from_json(d.stats_to_json(stats))
-    np.testing.assert_array_equal(stats.s_mat, again.s_mat)
-    np.testing.assert_array_equal(stats.e_vec, again.e_vec)
-    assert again.n == stats.n
-    assert again.num_particles == 200
-    assert again.num_backward == 2
-
-
 def test_smoother_reproducible():
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
     a = d.paris_smooth(panel, basis, theta, 300, 2, seed=5)

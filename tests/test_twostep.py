@@ -119,13 +119,6 @@ def test_singular_increments_get_jitter_and_warning():
     assert theta0.step_sd[0] == pytest.approx(1e-4, rel=1e-6)
 
 
-def test_threads_do_not_change_results():
-    basis, panel, _ = big_exposure_panel()
-    serial = d.fit_yearly(panel, basis, threads=1)
-    parallel = d.fit_yearly(panel, basis, threads=4)
-    np.testing.assert_array_equal(serial.nu_hat, parallel.nu_hat)
-
-
 def test_rank_deficient_design_rejected():
     basis, panel, _ = big_exposure_panel()
     single = d.CellPanel(panel.cells[:1], panel.exposure[:1], panel.events[:1])
