@@ -158,16 +158,27 @@ def _load_panel(config):
         raise ConfigError(f"cannot read panel: {exc}") from exc
 
 
-def _theta_from(args, config, key="theta0"):
+def _theta_from(args, config, basis, key="theta0"):
     path = args.theta0 or config.get(key)
     if path is None:
         return None
     try:
-        return require_valid(load_theta(Path(path)))
+        theta = require_valid(load_theta(Path(path)))
     except OSError as exc:
         raise ConfigError(f"cannot read parameter file: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameter file: {exc}") from exc
+    _check_dimension(theta, basis, "parameter file")
+    return theta
+
+
+def _check_dimension(theta, basis, source):
+    """Raise ConfigError unless theta's dimension equals the basis's p."""
+    if theta.p != basis.p:
+        raise ConfigError(
+            f"bad {source}: theta has dimension {theta.p} (mu, chol, nu0), "
+            f"but basis {basis.kind!r} has p={basis.p}"
+        )
 
 
 def _int_setting(spec, section, key, default):
@@ -182,20 +193,18 @@ def _int_setting(spec, section, key, default):
 
 
 def _em_config(config):
-    """The EM settings, checked in full before any compute."""
+    """The EM settings, checked in full before any compute; unset ones take
+    EMConfig's defaults."""
     spec = config.get("em", {})
-    counts = {
-        key: _int_setting(spec, "em", key, default)
-        for key, default in (("num_particles", 1000), ("num_backward", 2),
-                             ("max_iters", 200), ("tail_window", 20))
+    defaults = EMConfig()
+    settings = {
+        key: _int_setting(spec, "em", key, getattr(defaults, key))
+        for key in ("num_particles", "num_backward", "max_iters", "tail_window")
     }
+    for key in ("pd_repair", "resampling", "backward"):
+        settings[key] = spec.get(key, getattr(defaults, key))
     try:
-        return EMConfig(
-            **counts,
-            pd_repair=spec.get("pd_repair", "resample"),
-            resampling=spec.get("resampling", "multinomial"),
-            backward=spec.get("backward", "categorical"),
-        )
+        return EMConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"bad em config: {exc}") from exc
 
@@ -280,7 +289,7 @@ def _cmd_fit(args, config, outdir, seed):
     num, quantiles, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
-    theta0 = _theta_from(args, config)
+    theta0 = _theta_from(args, config, basis)
     if theta0 is None:
         print("no initial parameters given; running the two-step baseline")
         _, theta0 = two_step_fit(panel, basis)
@@ -299,7 +308,7 @@ def _cmd_filter(args, config, outdir, seed):
     num, quantiles, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
-    theta = _theta_from(args, config, key="theta")
+    theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("filter needs parameters (--theta0 or config 'theta')")
     output = bootstrap_filter(panel, basis, theta, num, seed, resampling=resampling)
@@ -319,7 +328,7 @@ def _cmd_forecast(args, config, outdir, seed):
     num, _, resampling = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
-    theta = _theta_from(args, config, key="theta")
+    theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("forecast needs parameters (--theta0 or config 'theta')")
     from_mean = bool(spec.get("from_mean", False))
@@ -340,12 +349,13 @@ def _cmd_synth(args, config, outdir, seed):
     basis = _build_basis(config, kind)
     theta_spec = _require(spec, "theta")
     if isinstance(theta_spec, str):
-        theta = _theta_from(args, {"theta0": theta_spec})
+        theta = _theta_from(args, {"theta0": theta_spec}, basis)
     else:
         try:
             theta = require_valid(theta_from_dict(theta_spec))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synth theta: {exc}") from exc
+        _check_dimension(theta, basis, "synth theta")
     n = int(_require(spec, "periods"))
     exposure = _require(spec, "exposure")
     panel, states = generate(theta, basis, cells, exposure, n, seed)

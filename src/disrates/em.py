@@ -16,7 +16,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from . import rng
@@ -38,7 +38,9 @@ class EMConfig:
     tail_window: int = 20
     pd_repair: str = "resample"  # or "numeric"
     resampling: str = "multinomial"
-    backward: str = "categorical"
+    # Exact accept-reject kernel; "categorical" is the exact O(N²) reference
+    # and paris_smooth's default, and draws from the same distribution.
+    backward: str = "reject"
 
     def __post_init__(self):
         if self.max_iters < 1 or self.tail_window < 1:
@@ -166,22 +168,22 @@ def _numeric_pd_repair(stats, prev_theta):
     diag_positions = np.flatnonzero(low[0] == low[1])
 
     def objective(vec):
+        # a is a valid factor of A Aᵀ by construction: use it as one, since
+        # re-factoring a near-singular A Aᵀ can fail near the floor.
         a = _chol_from_free(vec, p)
-        sigma = a @ a.T
-        try:
-            factor = cholesky(sigma, lower=True)
-        except np.linalg.LinAlgError:
-            return np.inf
-        logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-        trace = np.trace(cho_solve((factor, True), cstar.T))
-        return 0.5 * stats.n * logdet + 0.5 * trace
+        logdet_half = np.sum(np.log(np.diag(a)))
+        trace = np.trace(cho_solve((a, True), cstar.T))
+        return stats.n * logdet_half + 0.5 * trace
 
     start = prev_theta.chol.copy()
     np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))
     x0 = _chol_to_free(start)
+    # The diagonal stays in [DIAG_FLOOR, 1/DIAG_FLOOR]: the ceiling never
+    # binds at a plausible step size, but keeps exp() in _chol_from_free
+    # finite when a steep objective sends the line search far out.
     bounds = [(None, None)] * x0.size
     for pos in diag_positions:
-        bounds[pos] = (np.log(DIAG_FLOOR), None)
+        bounds[pos] = (np.log(DIAG_FLOOR), -np.log(DIAG_FLOOR))
     result = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
     if not np.all(np.isfinite(result.x)):
         return None

@@ -94,17 +94,22 @@ def ess(cloud):
     return 1.0 / float(w @ w)
 
 
-def inverse_cdf(weights, u):
-    """Index k for each uniform in u, where cumw[k-1] <= u < cumw[k].
+def pinned_cdf(weights):
+    """Running sum of `weights` with its last entry pinned to 1.0.
 
-    cumw is the running sum of `weights` with its last entry pinned to 1.0,
-    so rounding in the sum can never yield the out-of-range index len(weights)
-    and zero-weight entries are never drawn (save the last, which takes up
-    any rounding shortfall).
+    The pin means rounding in the sum can never make inverse_cdf yield the
+    out-of-range index len(weights), and zero-weight entries are never drawn
+    (save the last, which takes up any rounding shortfall).  Callers that
+    draw several times from one set of weights build this once.
     """
-    cumw = np.cumsum(weights)
-    cumw[-1] = 1.0
-    return np.searchsorted(cumw, u, side="right")
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def inverse_cdf(cdf, u):
+    """Index k for each uniform in u, where cdf[k-1] <= u < cdf[k]."""
+    return np.searchsorted(cdf, u, side="right")
 
 
 def _resample_indices(weights, size, gen, method):
@@ -114,7 +119,7 @@ def _resample_indices(weights, size, gen, method):
         u = (gen.random() + np.arange(size)) / size
     else:
         raise ValueError(f"unknown resampling method {method!r}")
-    return inverse_cdf(weights, u)
+    return inverse_cdf(pinned_cdf(weights), u)
 
 
 def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial", path=()):

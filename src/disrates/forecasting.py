@@ -22,6 +22,7 @@ from .filtering import (
     check_quantile_levels,
     filter_mean,
     inverse_cdf,
+    pinned_cdf,
     quantile_labels,
 )
 from .latent import require_valid, step
@@ -43,7 +44,7 @@ def simulate_future(theta, terminal, horizon, num_paths, seed, *,
         current = np.tile(filter_mean(terminal), (num_paths, 1))
     else:
         gen = rng.substream(seed, *path, rng.FORECAST, 0)
-        picks = inverse_cdf(terminal.weights, gen.random(num_paths))
+        picks = inverse_cdf(pinned_cdf(terminal.weights), gen.random(num_paths))
         current = terminal.particles[picks]
     out = np.empty((horizon, num_paths, theta.p))
     for h in range(1, horizon + 1):

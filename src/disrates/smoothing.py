@@ -7,13 +7,15 @@ averages the statistics of a few backward-sampled ancestors, drawn from the
 previous cloud reweighted by the transition density, so no genealogies are
 stored and memory stays O(N) in the number of particles.
 
-Backward indices are drawn either by direct categorical sampling (the
-default) or by an accept-reject scheme that proposes from the filter
-weights and accepts with the transition-density ratio; both target exactly
-the same distribution.  Categorical sampling costs O(N²) time per period,
-since every particle weighs the whole previous cloud, but only O(block·N)
-memory: the N x N weight table is built and consumed a block of rows at a
-time.  Accept-reject costs O(N·Ñ) per round, but rows that keep rejecting
+Backward indices are drawn either by direct categorical sampling or by an
+accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) that proposes
+from the filter weights and accepts with the transition-density ratio; both
+target exactly the same distribution.  Categorical sampling is the O(N²)
+reference and the default of paris_smooth and smooth_slices: every particle
+weighs the whole previous cloud, costing O(N²) time per period but only
+O(block·N) memory, since the N x N weight table is built and consumed a
+block of rows at a time.  Accept-reject, the default of EM fits
+(EMConfig.backward), costs O(N·Ñ) per round, but rows that keep rejecting
 after _REJECT_MAX_ROUNDS rounds fall back to the categorical kernel, so its
 cost depends on how far the clouds are apart.  A third mode replaces
 sampling with the full backward expectation, giving the forward-filtering
@@ -30,7 +32,7 @@ from scipy.special import logsumexp
 from . import rng
 from .basis import check_rank
 from .errors import FilterDegeneracyError
-from .filtering import forward_pass, inverse_cdf
+from .filtering import forward_pass, inverse_cdf, pinned_cdf
 from .latent import step_logdensity
 from .observation import make_slices
 
@@ -161,12 +163,12 @@ def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
     num = a.shape[0]
     qa = np.einsum("ip,ip->i", a, a)
     qb = np.einsum("jp,jp->j", b, b)
-    prev_w = np.exp(prev_logw)
+    cdf = pinned_cdf(np.exp(prev_logw))
     idx = np.full(num * num_backward, -1, dtype=np.intp)
     alive = np.arange(num * num_backward)
     for _ in range(_REJECT_MAX_ROUNDS):
         rows = alive // num_backward
-        prop = inverse_cdf(prev_w, gen.random(alive.size))
+        prop = inverse_cdf(cdf, gen.random(alive.size))
         quad = qa[rows] + qb[prop] - 2.0 * np.einsum("kp,kp->k", a[rows], b[prop])
         accept = gen.random(alive.size) < np.exp(-0.5 * quad)
         idx[alive[accept]] = prop[accept]

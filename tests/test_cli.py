@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import disrates as d
-from disrates.cli import _int_setting, main
+from disrates.cli import _em_config, _int_setting, main
 from conftest import TOY_PHI, toy_panel, toy_theta
 
 
@@ -288,7 +288,16 @@ def test_int_setting_accepts_integral_numbers_only():
             _int_setting({"k": bad}, "em", "k", 1)
 
 
+def test_em_config_defaults_come_from_emconfig():
+    assert _em_config({}) == d.EMConfig()
+    assert _em_config({}).backward == "reject"
+    chosen = _em_config({"em": {"backward": "categorical", "num_particles": 300}})
+    assert chosen == d.EMConfig(num_particles=300, backward="categorical")
+
+
 TEXT_PHI = "age,phi_1\n30,0.8\n40,x\n50,1.2\n"
+TWO_PHI = "age,phi_1,phi_2\n30,0.8,0.1\n40,1.0,0.5\n50,1.2,0.2\n"
+DIMENSION = "theta has dimension 1 (mu, chol, nu0), but basis 'custom' has p=2"
 BAD_FILES = {
     # case: (command, theta chol or None, basis table text or None, message text)
     "fit-theta": ("fit", [[-0.3]], None, "bad parameter file: invalid latent parameters"),
@@ -305,6 +314,13 @@ BAD_FILES = {
                               "line 3: expected 2 fields"),
     "baseline-basis-number": ("baseline", None, TEXT_PHI, "line 3"),
     "synth-basis-number": ("synth", None, TEXT_PHI, "line 3"),
+    # a one-component theta with a two-column basis
+    "fit-theta-dimension": ("fit", None, TWO_PHI, f"bad parameter file: {DIMENSION}"),
+    "filter-theta-dimension": ("filter", None, TWO_PHI,
+                               f"bad parameter file: {DIMENSION}"),
+    "forecast-theta-dimension": ("forecast", None, TWO_PHI,
+                                 f"bad parameter file: {DIMENSION}"),
+    "synth-theta-dimension": ("synth", None, TWO_PHI, f"bad synth theta: {DIMENSION}"),
 }
 
 
@@ -345,4 +361,20 @@ def test_invalid_inline_synth_theta_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synth", "--config", config, "--out", str(out)]) == 2
     assert "bad synth theta: invalid latent parameters" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_synth_theta_file_must_match_the_basis(tmp_path, capsys):
+    body = base_config(
+        tmp_path,
+        synth={"cells": {"ages": [30, 40, 50]}, "theta": write_theta(tmp_path),
+               "periods": 4, "exposure": 50},
+    )
+    target = tmp_path / "two.csv"
+    target.write_text(TWO_PHI, encoding="utf-8")
+    body["basis"] = {"kind": "custom", "table": str(target)}
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main(["synth", "--config", config, "--out", str(out)]) == 2
+    assert f"bad parameter file: {DIMENSION}" in capsys.readouterr().err
     assert not any(out.iterdir())

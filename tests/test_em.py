@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import disrates as d
+from disrates import em
 from disrates.em import (
     DIAG_FLOOR,
     _chol_from_free,
@@ -165,6 +168,37 @@ def test_numeric_pd_repair_floor_binds(start_sd):
     prev = d.LatentParams(mu=[0.2], chol=[[start_sd]], nu0=[1.0])
     repaired = _numeric_pd_repair(stats, prev)
     assert repaired.chol[0, 0] == pytest.approx(DIAG_FLOOR, rel=1e-6)
+
+
+def test_numeric_pd_repair_reaches_the_floor_of_a_singular_direction(monkeypatch):
+    # All-ones moment blocks with zero means give C = 2·11ᵀ: rank 1, so the
+    # supremum lies at a singular A Aᵀ.  Every objective value on the way must
+    # be finite, and the factor's second diagonal entry must reach the floor.
+    ones = np.ones((2, 2))
+    stats = d.SmoothedStats(s_mat=ones, s_vec=np.zeros(2), e_mat=ones,
+                            e_vec=np.zeros(2), n=2, num_particles=0, num_backward=0)
+    prev = d.LatentParams(mu=[0.0, 0.0], chol=0.5 * np.eye(2), nu0=[0.0, 0.0])
+    values = []
+    minimize = em.minimize
+
+    def recorded(fun, x0, **kwargs):
+        def wrapped(x):
+            values.append(fun(x))
+            return values[-1]
+        return minimize(wrapped, x0, **kwargs)
+
+    monkeypatch.setattr(em, "minimize", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        repaired = _numeric_pd_repair(stats, prev)
+    assert values and np.all(np.isfinite(values))
+    assert abs(repaired.chol[1, 1] - DIAG_FLOOR) < 1e-6
+    assert repaired.chol[0, 0] > 0.1
+    # from a start below the floor the line search must not overflow exp()
+    low = d.LatentParams(mu=[0.0, 0.0], chol=1e-12 * np.eye(2), nu0=[0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d.validate(_numeric_pd_repair(stats, low)) == []
 
 
 def test_trace_csv_layout():

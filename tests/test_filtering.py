@@ -180,18 +180,22 @@ def test_filter_csv_layout():
 
 
 def test_inverse_cdf_pins_the_last_cumulative_weight():
-    from disrates.filtering import inverse_cdf
+    from disrates.filtering import inverse_cdf, pinned_cdf
     weights = np.full(10, 0.1)
     u = np.nextafter(1.0, 0.0)
     # the running sum ends at u itself, so without the pin the draw would be
     # the out-of-range index 10
     assert np.cumsum(weights)[-1] == u
-    assert inverse_cdf(weights, u) == 9
+    cdf = pinned_cdf(weights)
+    assert cdf[-1] == 1.0
+    np.testing.assert_array_equal(cdf[:-1], np.cumsum(weights)[:-1])
+    assert inverse_cdf(cdf, u) == 9
 
 
 def test_inverse_cdf_never_draws_zero_weights():
-    from disrates.filtering import inverse_cdf
-    got = inverse_cdf(np.array([0.0, 0.5, 0.0, 0.5]), np.array([0.0, 0.49, 0.5, 0.999]))
+    from disrates.filtering import inverse_cdf, pinned_cdf
+    cdf = pinned_cdf(np.array([0.0, 0.5, 0.0, 0.5]))
+    got = inverse_cdf(cdf, np.array([0.0, 0.49, 0.5, 0.999]))
     np.testing.assert_array_equal(got, [1, 1, 3, 3])
 
 

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.special import logsumexp
 
 import disrates as d
 from disrates import smoothing as sm
+from disrates.smoothing import _REJECT_MAX_ROUNDS, _sample_backward_categorical
 from conftest import flat_panel, random_theta, toy_basis, toy_panel, toy_theta
 
 
@@ -232,6 +234,68 @@ def test_block_kernel_reports_the_particle_index():
     with pytest.raises(d.FilterDegeneracyError) as info:
         sm._sample_backward_categorical(logw, a, b, gen.random((rows, 2)), period=4)
     assert (info.value.period, info.value.particle) == (4, rows - 2)
+
+
+def oracle_inverse_cdf(weights, u):
+    """The former draw primitive: the cumulative weights rebuilt on every call."""
+    cumw = np.cumsum(weights)
+    cumw[-1] = 1.0
+    return np.searchsorted(cumw, u, side="right")
+
+
+def oracle_backward_reject(prev_logw, a, b, num_backward, gen, period):
+    """The accept-reject kernel as it was before its cdf was built once per
+    call, kept word for word (with oracle_inverse_cdf) as the reference."""
+    num = a.shape[0]
+    qa = np.einsum("ip,ip->i", a, a)
+    qb = np.einsum("jp,jp->j", b, b)
+    prev_w = np.exp(prev_logw)
+    idx = np.full(num * num_backward, -1, dtype=np.intp)
+    alive = np.arange(num * num_backward)
+    for _ in range(_REJECT_MAX_ROUNDS):
+        rows = alive // num_backward
+        prop = oracle_inverse_cdf(prev_w, gen.random(alive.size))
+        quad = qa[rows] + qb[prop] - 2.0 * np.einsum("kp,kp->k", a[rows], b[prop])
+        accept = gen.random(alive.size) < np.exp(-0.5 * quad)
+        idx[alive[accept]] = prop[accept]
+        alive = alive[~accept]
+        if alive.size == 0:
+            break
+    full = idx.reshape(num, num_backward)
+    if alive.size:
+        rows = np.unique(alive // num_backward)
+        draws = gen.random((rows.size, num_backward))
+        exact = _sample_backward_categorical(
+            prev_logw, a[rows], b, draws, period, ids=rows
+        )
+        kept = full[rows]
+        full[rows] = np.where(kept < 0, exact, kept)
+    return full
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("num", [50, 1000])
+def test_reject_kernel_matches_the_former_kernel_bit_for_bit(monkeypatch, p, num):
+    # Most rows sit inside the previous cloud and are accepted within a few
+    # rounds; every seventh sits 4 units off, where acceptance is at most
+    # exp(-8) per proposal, so those rows reach the categorical fallback.
+    gen = np.random.default_rng(100 * p + num)
+    a, b, logw = whitened_clouds(gen, num, num, p=p, spread=0.5)
+    a[::7] += 4.0
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[1].shape[0])
+        return _sample_backward_categorical(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "_sample_backward_categorical", counted)
+    ours, theirs = copy.deepcopy(gen), copy.deepcopy(gen)
+    got = sm._sample_backward_reject(logw, a, b, 2, ours, period=3)
+    want = oracle_backward_reject(logw, a, b, 2, theirs, period=3)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert fallbacks and fallbacks[0] > 0
 
 
 def test_reject_fallback_reports_the_particle_index():
