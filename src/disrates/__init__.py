@@ -85,11 +85,7 @@ from .panel import (
     load_panel,
     serialize_panel,
 )
-from .smoothing import (
-    SmoothedStats,
-    backward_categorical,
-    paris_smooth,
-)
+from .smoothing import SmoothedStats, paris_smooth
 from .synthetic import generate, replicate_study, sample_path
 from .twostep import (
     YearlyFit,

@@ -130,11 +130,11 @@ def _build_basis(config, kind):
 
 
 def _build_cells(spec, kind):
-    if not isinstance(spec, dict) or "ages" not in spec:
-        raise ConfigError("cell config needs an 'ages' list")
-    ages = spec["ages"]
+    if not isinstance(spec, dict) or not isinstance(spec.get("ages"), list):
+        raise ConfigError("bad synth config: cells need an 'ages' list")
+    ages = [_integral(a, "synth", "ages") for a in spec["ages"]]
     if kind is StudyKind.INCEPTION:
-        return tuple(Cell(kind, int(a)) for a in ages)
+        return tuple(Cell(kind, a) for a in ages)
     durations = spec.get("durations")
     if not durations:
         raise ConfigError("termination cells need a 'durations' list")
@@ -144,7 +144,7 @@ def _build_cells(spec, kind):
     if len(widths) != len(durations):
         raise ConfigError("one duration width per duration required")
     return tuple(
-        Cell(kind, int(a), float(d), float(w))
+        Cell(kind, a, float(d), float(w))
         for a in ages
         for d, w in zip(durations, widths)
     )
@@ -182,10 +182,13 @@ def _check_dimension(theta, basis, source):
 
 
 def _int_setting(spec, section, key, default):
-    """A count setting: integers and integral floats such as 1e3 pass;
-    booleans, fractions and strings do not (int() would turn true into 1,
-    2.7 into 2 and "12" into 12)."""
-    value = spec.get(key, default)
+    return _integral(spec.get(key, default), section, key)
+
+
+def _integral(value, section, key):
+    """Integers and integral floats such as 1e3 pass; booleans, fractions
+    and strings do not (int() would turn true into 1, 2.7 into 2 and "12"
+    into 12)."""
     if (isinstance(value, int) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
         return int(value)
@@ -356,9 +359,12 @@ def _cmd_synth(args, config, outdir, seed):
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synth theta: {exc}") from exc
         _check_dimension(theta, basis, "synth theta")
-    n = int(_require(spec, "periods"))
+    n = _integral(_require(spec, "periods"), "synth", "periods")
     exposure = _require(spec, "exposure")
-    panel, states = generate(theta, basis, cells, exposure, n, seed)
+    try:  # periods < 1, exposures that are not counts, ages outside the basis
+        panel, states = generate(theta, basis, cells, exposure, n, seed)
+    except ValueError as exc:
+        raise ConfigError(f"bad synth config: {exc}") from exc
     _write(outdir, "panel.csv", serialize_panel(panel))
     lines = ["period," + ",".join(f"nu_{i + 1}" for i in range(theta.p))]
     for t in range(n):

@@ -163,17 +163,13 @@ def _numeric_pd_repair(stats, prev_theta):
     p = prev_theta.p
     mu = stats.s_vec / (stats.n - 1)
     nu0 = stats.e_vec - mu
-    cstar = _centered_c(stats, mu, nu0)
     low = np.tril_indices(p)
     diag_positions = np.flatnonzero(low[0] == low[1])
 
     def objective(vec):
-        # a is a valid factor of A Aᵀ by construction: use it as one, since
-        # re-factoring a near-singular A Aᵀ can fail near the floor.
-        a = _chol_from_free(vec, p)
-        logdet_half = np.sum(np.log(np.diag(a)))
-        trace = np.trace(cho_solve((a, True), cstar.T))
-        return stats.n * logdet_half + 0.5 * trace
+        # q_value uses the decoded factor as it is, never re-factoring A Aᵀ,
+        # which can fail for a near-singular A Aᵀ near the floor.
+        return -q_value(LatentParams(mu, _chol_from_free(vec, p), nu0), stats)
 
     start = prev_theta.chol.copy()
     np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))

@@ -21,7 +21,8 @@ from .latent import require_valid
 from .observation import loglik_many, make_slices
 from .smoothing import SmoothedStats
 
-MAX_NODES = 40000
+# Bytes of the K x K float64 transition table: K ≤ 4096 nodes.
+MAX_TABLE_BYTES = 128 << 20
 BOUNDARY_TOLERANCE = 1e-6
 
 
@@ -43,8 +44,9 @@ class LatentGrid:
             raise ValueError("need at least 16 nodes per component")
         if any(hi <= lo for lo, hi in self.ranges):
             raise ValueError("empty grid range")
-        if self.num_nodes > MAX_NODES:
-            raise ValueError(f"grid too large ({self.num_nodes} > {MAX_NODES} nodes)")
+        if 8 * self.num_nodes ** 2 > MAX_TABLE_BYTES:
+            raise ValueError(f"grid too large ({self.num_nodes} nodes: the transition "
+                             f"table would exceed {MAX_TABLE_BYTES} bytes)")
 
     @property
     def p(self):

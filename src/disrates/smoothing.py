@@ -19,27 +19,25 @@ block of rows at a time.  Accept-reject, the default of EM fits
 after _REJECT_MAX_ROUNDS rounds fall back to the categorical kernel, so its
 cost depends on how far the clouds are apart.  A third mode replaces
 sampling with the full backward expectation, giving the forward-filtering
-backward-smoothing estimator; it builds whole N x N tables, costing O(N²)
-time and memory, and is intended for cross-checks.
+backward-smoothing estimator; it walks the same row blocks, costing O(N²)
+time and O(block·N) memory, and is intended for cross-checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from . import rng
 from .basis import check_rank
 from .errors import FilterDegeneracyError
 from .filtering import forward_pass, inverse_cdf, pinned_cdf
-from .latent import step_logdensity
 from .observation import make_slices
 
 BACKWARD_METHODS = ("categorical", "reject", "exact")
 _REJECT_MAX_ROUNDS = 75
-# Bytes per block buffer of the categorical kernel: small enough to stay in
-# cache, and it bounds the kernel's memory at O(N) whatever N is.
+# Bytes per block buffer of the backward-weight walk: small enough to stay
+# in cache, and it bounds the walk's memory at O(N) whatever N is.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -59,16 +57,6 @@ class SmoothedStats:
     n: int
     num_particles: int
     num_backward: int
-
-
-def backward_categorical(theta, prev_cloud, target):
-    """Backward-kernel probabilities over the previous cloud for one target."""
-    deltas = np.asarray(target, dtype=float)[None, :] - prev_cloud.particles
-    logb = prev_cloud.log_weights + step_logdensity(theta, deltas)
-    norm = logsumexp(logb)
-    if not np.isfinite(norm):
-        raise FilterDegeneracyError(period=prev_cloud.period + 1)
-    return np.exp(logb - norm)
 
 
 def _whitened(theta, prev_particles, particles):
@@ -109,15 +97,16 @@ def _count_at_most(cum, u):
     return pos
 
 
-def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
-    """One backward index per (row of a, draw) from each row's categorical.
+def _backward_blocks(prev_logw, a, b, period, ids=None):
+    """Each row's backward weights over the previous cloud, a block of rows at a time.
 
-    Row i's weights over the previous cloud are prev_logw − ½‖a_i − b_j‖²
-    up to a constant; draws[i] holds its uniforms.  The table is never
-    formed whole: rows are processed in blocks of _block_rows(N) through two
-    reused buffers, with the same floating-point operations in the same
-    order as the full table, so the indices do not depend on the block size.
-    ids maps rows of a to the particle indices that errors report.
+    Row i's log-weights logb are prev_logw − ½‖a_i − b_j‖² up to a constant.
+    The table is never formed whole: rows are processed in blocks of
+    _block_rows(N) through two reused buffers, with the same floating-point
+    operations in the same order as the full table, so the weights do not
+    depend on the block size.  Yields (start, stop, weights, spare): weights
+    holds exp(logb − rowmax) for rows start..stop−1, spare is scratch of the
+    same shape.  ids maps rows of a to the particle indices errors report.
     """
     num, width = a.shape[0], b.shape[0]
     qa = np.einsum("ip,ip->i", a, a)
@@ -126,7 +115,6 @@ def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
     block = min(num, _block_rows(width))
     cross = np.empty((block, width))
     work = np.empty((block, width))
-    idx = np.empty(draws.shape, dtype=np.intp)
     for start in range(0, num, block):
         stop = min(start + block, num)
         x, y = cross[:stop - start], work[:stop - start]
@@ -146,10 +134,28 @@ def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
             )
         np.subtract(y, rowmax[:, None], out=y)
         np.exp(y, out=x)
-        np.cumsum(x, axis=1, out=y)
-        u = draws[start:stop] * y[:, -1:]
-        idx[start:stop] = _count_at_most(y, u)
-    return np.minimum(idx, width - 1)
+        yield start, stop, x, y
+
+
+def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
+    """One backward index per (row of a, draw) from each row's categorical
+    (see _backward_blocks); draws[i] holds row i's uniforms."""
+    idx = np.empty(draws.shape, dtype=np.intp)
+    for start, stop, weights, cum in _backward_blocks(prev_logw, a, b, period, ids):
+        np.cumsum(weights, axis=1, out=cum)
+        u = draws[start:stop] * cum[:, -1:]
+        idx[start:stop] = _count_at_most(cum, u)
+    return np.minimum(idx, b.shape[0] - 1)
+
+
+def _backward_expectation(prev_logw, a, b, values, period):
+    """Per row of a, the backward kernel's expectation of values, which has
+    one row per particle of the previous cloud."""
+    out = np.empty((a.shape[0], values.shape[1]))
+    for start, stop, weights, _ in _backward_blocks(prev_logw, a, b, period):
+        weights /= weights.sum(axis=1, keepdims=True)
+        np.matmul(weights, values, out=out[start:stop])
+    return out
 
 
 def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
@@ -187,18 +193,6 @@ def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
     return full
 
 
-def _normalized_backward_table(prev_logw, a, b, period):
-    qa = np.einsum("ip,ip->i", a, a)
-    qb = np.einsum("jp,jp->j", b, b)
-    quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
-    logtable = prev_logw[None, :] - 0.5 * quad
-    norms = logsumexp(logtable, axis=1)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise FilterDegeneracyError(period=period, particle=int(bad[0]))
-    return np.exp(logtable - norms[:, None])
-
-
 def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
                   backward="categorical", resampling="multinomial", path=()):
     """PaRIS pass over precomputed period slices; see paris_smooth."""
@@ -232,12 +226,11 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
         else:
             a, b = _whitened(theta, prev_particles, particles)
             if backward == "exact":
-                table = _normalized_backward_table(prev_logw, a, b, t)
-                tau_new = table @ tau
-                zb = table @ prev_particles
-                zzb = table @ np.einsum(
-                    "ki,kj->kij", prev_particles, prev_particles
-                ).reshape(num_particles, sq)
+                width = tau.shape[1]
+                prev_zz = np.einsum("ki,kj->kij", prev_particles, prev_particles)
+                values = np.hstack([tau, prev_particles, prev_zz.reshape(-1, sq)])
+                moments = _backward_expectation(prev_logw, a, b, values, t)
+                tau_new, zb, zzb = np.split(moments, [width, width + p], axis=1)
                 hmat = (
                     np.einsum("ki,kj->kij", particles, particles)
                     - np.einsum("ki,kj->kij", particles, zb)

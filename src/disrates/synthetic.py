@@ -25,9 +25,11 @@ def _exposure_table(exposures, num_cells, n):
     elif table.shape != (num_cells, n):
         raise ValueError("exposure table must be scalar, (cells,) or (cells, n)")
     if not np.issubdtype(table.dtype, np.integer):
-        rounded = np.rint(table)
-        if not np.allclose(table, rounded):
-            raise ValueError("exposures must be whole counts")
+        # non-numbers become NaN: the bound fails for it and ±inf, which
+        # int64 cannot hold
+        rounded = np.rint(table) if table.dtype.kind == "f" else np.nan
+        if not (np.abs(rounded) < 2.0**63).all() or not np.allclose(table, rounded):
+            raise ValueError("exposures must be whole counts below 2**63")
         table = rounded
     if (table < 0).any():
         raise ValueError("exposures must be nonnegative")

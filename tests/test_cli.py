@@ -237,6 +237,8 @@ def test_console_entry_point(tmp_path):
     assert "panel OK" in result.stdout
 
 
+SYNTH = {"cells": {"ages": [30, 40, 50]}, "theta": d.theta_to_dict(toy_theta()),
+         "periods": 4, "exposure": 50}
 BAD_SETTINGS = [
     # (command, section, settings, field the message must name)
     ("fit", "em", {"backward": "foo"}, "backward"),
@@ -259,6 +261,12 @@ BAD_SETTINGS = [
     ("fit", "em", {"max_iters": True}, "max_iters"),
     ("forecast", "forecast", {"horizon": 1.5}, "horizon"),
     ("filter", "filter", {"num_particles": False}, "num_particles"),
+    ("synth", "synth", {"cells": {"ages": ["x", 40]}}, "ages"),
+    ("synth", "synth", {"cells": {"ages": [30.7, 40, 50]}}, "ages"),
+    ("synth", "synth", {"periods": "four"}, "periods"),
+    ("synth", "synth", {"periods": 2.7}, "periods"),
+    ("synth", "synth", {"periods": True}, "periods"),
+    ("synth", "synth", {"exposure": -5}, "exposure"),
 ]
 
 
@@ -266,7 +274,7 @@ BAD_SETTINGS = [
 def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, section,
                                                settings, field):
     body = base_config(tmp_path, em={"num_particles": 50, "max_iters": 1,
-                                     "tail_window": 1})
+                                     "tail_window": 1}, synth=SYNTH)
     body[section] = dict(body.get(section, {}), **settings)
     config = write_config(tmp_path, **body)
     out = tmp_path / "out"
@@ -330,8 +338,7 @@ def test_bad_input_file_exits_2_before_any_output(tmp_path, capsys, command, cho
     body = base_config(
         tmp_path,
         em={"num_particles": 50, "max_iters": 1, "tail_window": 1},
-        synth={"cells": {"ages": [30, 40, 50]}, "theta": d.theta_to_dict(toy_theta()),
-               "periods": 4, "exposure": 50},
+        synth=SYNTH,
     )
     if table is not None:
         target = tmp_path / "bad_basis.csv"

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
+from scipy.optimize import minimize
 
 import disrates as d
 from disrates import em
@@ -199,6 +201,57 @@ def test_numeric_pd_repair_reaches_the_floor_of_a_singular_direction(monkeypatch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert d.validate(_numeric_pd_repair(stats, low)) == []
+
+
+def former_numeric_pd_repair(stats, prev_theta):
+    """The repair as it was with a hand copy of Q's covariance part as its
+    objective, kept word for word as the reference."""
+    p = prev_theta.p
+    mu = stats.s_vec / (stats.n - 1)
+    nu0 = stats.e_vec - mu
+    cstar = em._centered_c(stats, mu, nu0)
+    low = np.tril_indices(p)
+    diag_positions = np.flatnonzero(low[0] == low[1])
+
+    def objective(vec):
+        a = _chol_from_free(vec, p)
+        logdet_half = np.sum(np.log(np.diag(a)))
+        trace = np.trace(cho_solve((a, True), cstar.T))
+        return stats.n * logdet_half + 0.5 * trace
+
+    start = prev_theta.chol.copy()
+    np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))
+    x0 = _chol_to_free(start)
+    bounds = [(None, None)] * x0.size
+    for pos in diag_positions:
+        bounds[pos] = (np.log(DIAG_FLOOR), -np.log(DIAG_FLOOR))
+    result = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+    if not np.all(np.isfinite(result.x)):
+        return None
+    return d.LatentParams(mu=mu, chol=_chol_from_free(result.x, p), nu0=nu0)
+
+
+def repair_cases():
+    gen = np.random.default_rng(35)
+    for p in (1, 2, 3):
+        for _ in range(3):
+            yield random_stats(gen, p, 6), random_theta(gen, p)
+    ones = np.ones((2, 2))
+    singular = d.SmoothedStats(s_mat=ones, s_vec=np.zeros(2), e_mat=ones,
+                               e_vec=np.zeros(2), n=2, num_particles=0,
+                               num_backward=0)
+    for sd in (0.5, 1e-12):
+        yield singular, d.LatentParams(mu=[0.0, 0.0], chol=sd * np.eye(2),
+                                       nu0=[0.0, 0.0])
+
+
+def test_numeric_pd_repair_matches_its_former_objective_bit_for_bit():
+    # The objective is -q_value: the former hand copy up to an exact sign flip.
+    for stats, prev in repair_cases():
+        got = _numeric_pd_repair(stats, prev)
+        want = former_numeric_pd_repair(stats, prev)
+        for name in ("mu", "chol", "nu0"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_trace_csv_layout():

@@ -50,11 +50,19 @@ def test_single_period_panel():
     assert stats.e_vec[0] == pytest.approx(d.filter_mean(out.clouds[0])[0], rel=1e-12)
 
 
+def backward_rows(theta, prev, targets):
+    """Each target's backward-kernel probabilities over the previous cloud:
+    the expectation of one-hot values is the weight row itself."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    a, b = sm._whitened(theta, prev.particles, targets)
+    values = np.eye(prev.particles.shape[0])
+    return sm._backward_expectation(prev.log_weights, a, b, values, prev.period + 1)
+
+
 def test_backward_categorical_point_mass():
     theta = toy_theta()
     prev = d.ParticleCloud(np.array([[0.3]]), np.array([0.0]), period=1)
-    probs = d.backward_categorical(theta, prev, np.array([0.5]))
-    np.testing.assert_allclose(probs, [1.0])
+    np.testing.assert_allclose(backward_rows(theta, prev, [0.5]), [[1.0]])
 
 
 def test_backward_categorical_symmetry():
@@ -62,8 +70,9 @@ def test_backward_categorical_symmetry():
     prev = d.ParticleCloud(
         np.array([[-1.0], [1.0]]), np.log([0.5, 0.5]), period=1
     )
-    probs = d.backward_categorical(theta, prev, np.array([0.0]))
-    np.testing.assert_allclose(probs, [0.5, 0.5], rtol=1e-12)
+    np.testing.assert_allclose(
+        backward_rows(theta, prev, [0.0]), [[0.5, 0.5]], rtol=1e-12
+    )
 
 
 def test_backward_categorical_matches_naive_recomputation():
@@ -73,13 +82,14 @@ def test_backward_categorical_matches_naive_recomputation():
     w = gen.random(16)
     w /= w.sum()
     prev = d.ParticleCloud(particles, np.log(w), period=3)
-    target = gen.standard_normal(2)
-    got = d.backward_categorical(theta, prev, target)
+    targets = gen.standard_normal((5, 2))
+    got = backward_rows(theta, prev, targets)
     naive = np.array([
-        w[j] * np.exp(d.transition_logdensity(theta, particles[j], target))
-        for j in range(16)
+        [w[j] * np.exp(d.transition_logdensity(theta, particles[j], target))
+         for j in range(16)]
+        for target in targets
     ])
-    naive /= naive.sum()
+    naive /= naive.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(got, naive, rtol=1e-10)
 
 
@@ -87,8 +97,9 @@ def test_backward_categorical_underflow_raises():
     theta = d.LatentParams(mu=[0.0], chol=[[1e-300]], nu0=[0.0])
     prev = d.ParticleCloud(np.zeros((3, 1)), np.log(np.full(3, 1 / 3)), period=2)
     with np.errstate(over="ignore"):  # the step density overflows by design
-        with pytest.raises(d.FilterDegeneracyError):
-            d.backward_categorical(theta, prev, np.array([1.0]))
+        with pytest.raises(d.FilterDegeneracyError) as info:
+            backward_rows(theta, prev, [1.0])
+    assert (info.value.period, info.value.particle) == (3, 0)
 
 
 def test_backward_samplers_target_same_distribution():
@@ -236,6 +247,27 @@ def test_block_kernel_reports_the_particle_index():
     assert (info.value.period, info.value.particle) == (4, rows - 2)
 
 
+def oracle_backward_expectation(prev_logw, a, b, values):
+    """The former full-table exact update: the whole normalised N x N
+    backward table, then one matmul."""
+    qa = np.einsum("ip,ip->i", a, a)
+    qb = np.einsum("jp,jp->j", b, b)
+    quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
+    logtable = prev_logw[None, :] - 0.5 * quad
+    table = np.exp(logtable - logsumexp(logtable, axis=1)[:, None])
+    return table @ values
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 37])
+def test_block_expectation_matches_full_table(rows):
+    gen = np.random.default_rng(rows)
+    a, b, logw = whitened_clouds(gen, rows, WIDTH)
+    values = gen.random((WIDTH, 7))  # positive: no cancellation, so rtol holds
+    got = sm._backward_expectation(logw, a, b, values, period=2)
+    want = oracle_backward_expectation(logw, a, b, values)
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
 def oracle_inverse_cdf(weights, u):
     """The former draw primitive: the cumulative weights rebuilt on every call."""
     cumw = np.cumsum(weights)
@@ -310,12 +342,13 @@ def test_reject_fallback_reports_the_particle_index():
     assert (info.value.period, info.value.particle) == (5, 7)
 
 
-def test_categorical_estep_memory_is_bounded():
+@pytest.mark.parametrize("backward", ["categorical", "exact"])
+def test_categorical_estep_memory_is_bounded(backward):
     # One N x N float64 table at N=4000 is 128 MB; the E step stays far below.
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
     tracemalloc.start()
     try:
-        d.paris_smooth(panel, basis, theta, 4000, 2, seed=1)
+        d.paris_smooth(panel, basis, theta, 4000, 2, seed=1, backward=backward)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -56,8 +56,9 @@ def test_exposure_table_broadcasting():
     np.testing.assert_array_equal(panel2.exposure, full)
     with pytest.raises(ValueError, match="wrong length"):
         d.generate(theta, basis, cells, np.array([10, 20]), 4, seed=76)
-    with pytest.raises(ValueError, match="whole counts"):
-        d.generate(theta, basis, cells, 10.5, 4, seed=76)
+    for bad in (10.5, np.inf, np.nan, 1e30, "lots", None, True):
+        with pytest.raises(ValueError, match="whole counts"):
+            d.generate(theta, basis, cells, bad, 4, seed=76)
     with pytest.raises(ValueError, match="nonnegative"):
         d.generate(theta, basis, cells, -5, 4, seed=76)
 
