@@ -1,7 +1,8 @@
 """Paired A/B record of the benchmark: a base commit against a change.
 
     python3 bench/ab.py --slug stream_forecast --base HEAD \\
-        --pairs filter-forecast:401-410 --pairs fit-inception:201-203
+        --pairs filter-forecast:401-410 --pairs fit-inception:201-203 \\
+        --acceptance 4,5,8
 
 Copies the committed files of --base, and the working tree's tracked and
 unignored files (as `git add -A` would stage them) as the change, into fresh
@@ -14,6 +15,12 @@ end-to-end metrics, and per metric each side's median and quartiles, the
 median of the change/base ratios and the number of pairs the change won
 (lower is better for every end-to-end metric; ties count for neither side).
 
+With --acceptance, each copy also runs its own `tests/test_acceptance.py`
+once (base first), limited to the listed criteria if any are given, and the
+record holds each criterion's outcome and wall time: the duration of its call
+phase as pytest reports it, the figure the suite's `conftest.py` report hook
+prints, read here from a JUnit XML report so that any commit can be measured.
+
 The copies are plain directories, not git worktrees, so an interrupted run
 leaves nothing registered in the repository; the temporary directory is
 removed when the run ends.
@@ -22,11 +29,13 @@ removed when the run ends.
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,15 +59,33 @@ def parse_pairs(text):
     return workload, list(range(lo, hi + 1))
 
 
+def parse_criteria(text):
+    """'4,5,8' -> [4, 5, 8]."""
+    try:
+        numbers = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N[,N...], got {text!r}")
+    if min(numbers) < 1:
+        raise argparse.ArgumentTypeError(f"expected N[,N...], got {text!r}")
+    return numbers
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--slug", required=True)
     parser.add_argument("--base", required=True, help="git revision of the base side")
-    parser.add_argument("--pairs", type=parse_pairs, action="append", required=True,
+    parser.add_argument("--pairs", type=parse_pairs, action="append", default=[],
                         metavar="WORKLOAD:SEEDS", help="one pair per seed; repeatable")
+    parser.add_argument("--acceptance", type=parse_criteria, nargs="?", const=None,
+                        default=False, metavar="N[,N...]",
+                        help="also time the acceptance criteria once per side "
+                             "(default: all of them)")
     parser.add_argument("--workdir", default=None,
                         help="where the temporary copies go (default: the system's)")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if not args.pairs and args.acceptance is False:
+        parser.error("nothing to measure: give --pairs, --acceptance or both")
+    return args
 
 
 def git(*args, text=True):
@@ -120,6 +147,48 @@ def run_perfbench(tree, workload, seed):
     return done.stdout
 
 
+def run_acceptance(tree, criteria, report):
+    """Run the copy's own acceptance tests, writing a JUnit XML `report`."""
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               "tests/test_acceptance.py", f"--junitxml={report}",
+               "-o", "junit_duration_report=call"]
+    if criteria is not None:
+        command += ["-k", " or ".join(f"test_criterion_{n}_" for n in criteria)]
+    # the copy's own package, ahead of any installed one
+    path = os.pathsep.join(filter(None, [str(Path(tree) / "src"), os.environ.get("PYTHONPATH")]))
+    # a failing criterion is a result to record, not an error of the harness
+    subprocess.run(command, cwd=tree, env=dict(os.environ, PYTHONPATH=path),
+                   capture_output=True, text=True, check=False)
+
+
+def parse_acceptance(xml_text):
+    """{criterion number: {"name", "passed", "seconds"}} from a JUnit XML report."""
+    out = {}
+    for case in ElementTree.fromstring(xml_text).iter("testcase"):
+        parts = case.get("name", "").split("_")
+        if parts[:2] != ["test", "criterion"]:
+            continue
+        failed = any(case.find(tag) is not None for tag in ("failure", "error", "skipped"))
+        out[parts[2]] = {"name": " ".join(parts[3:]), "passed": not failed,
+                         "seconds": float(case.get("time"))}
+    return out
+
+
+def measure_acceptance(trees, criteria, tmp):
+    """Each side's criteria (base first) and per criterion the change/base ratio."""
+    sides = {}
+    for side in ("base", "change"):
+        report = Path(tmp) / f"acceptance-{side}.xml"
+        run_acceptance(trees[side], criteria, report)
+        sides[side] = parse_acceptance(report.read_text(encoding="utf-8"))
+        for number, entry in sorted(sides[side].items(), key=lambda kv: int(kv[0])):
+            log(f"acceptance {side}: criterion {number} ({entry['name']}) "
+                f"{'PASS' if entry['passed'] else 'FAIL'} in {entry['seconds']:.1f} s")
+    both = sorted(sides["base"].keys() & sides["change"].keys(), key=int)
+    ratios = {n: sides["change"][n]["seconds"] / sides["base"][n]["seconds"] for n in both}
+    return {"base": sides["base"], "change": sides["change"], "ratio": ratios}
+
+
 def spread(values):
     """Median and quartiles (inclusive method); one value is its own quartiles."""
     if len(values) == 1:
@@ -145,10 +214,11 @@ def summarise(pairs):
     return summary
 
 
-def build_record(slug, sides, environment, pairs_by_workload):
+def build_record(slug, sides, environment, pairs_by_workload, acceptance=None):
     """The BENCH record; `pairs_by_workload` maps a workload to its pairs,
-    each {"seed", "first", "base": run, "change": run}."""
-    return {
+    each {"seed", "first", "base": run, "change": run}; `acceptance` is
+    measure_acceptance's result, if the criteria were timed."""
+    record = {
         "slug": slug,
         "harness": f"perfbench/run.py --trace 0 --seconds {SECONDS}, "
                    "run in a fresh copy of each side",
@@ -160,6 +230,11 @@ def build_record(slug, sides, environment, pairs_by_workload):
             for workload, pairs in pairs_by_workload.items()
         },
     }
+    if acceptance is not None:
+        record["acceptance"] = dict(
+            acceptance, harness="pytest tests/test_acceptance.py, once per side, "
+                                "base first; seconds of each criterion's call phase")
+    return record
 
 
 def log(line):
@@ -189,11 +264,13 @@ def main(argv=None):
         sides["change"] = copy_working_tree(trees["change"])
         for side, tree in trees.items():
             sides[side]["code_sha256"] = code_sha256(tree)
-        environment, pairs_by_workload = None, {}
+        environment, pairs_by_workload, acceptance = None, {}, None
         for workload, seeds in args.pairs:
             environment, pairs = measure(trees, workload, seeds)
             pairs_by_workload.setdefault(workload, []).extend(pairs)
-    record = build_record(args.slug, sides, environment, pairs_by_workload)
+        if args.acceptance is not False:
+            acceptance = measure_acceptance(trees, args.acceptance, tmp)
+    record = build_record(args.slug, sides, environment, pairs_by_workload, acceptance)
     target = ROOT / f"BENCH_{args.slug}.json"
     target.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for workload, entry in record["workloads"].items():

@@ -136,18 +136,32 @@ def _build_cells(spec, kind):
     if kind is StudyKind.INCEPTION:
         return tuple(Cell(kind, a) for a in ages)
     durations = spec.get("durations")
-    if not durations:
-        raise ConfigError("termination cells need a 'durations' list")
+    if not isinstance(durations, list) or not durations:
+        raise ConfigError("bad synth config: termination cells need a 'durations' list")
+    durations = _bucket_bounds(durations, "durations", positive=False)
     widths = spec.get("duration_widths", spec.get("duration_width", 0.25))
     if np.isscalar(widths):
         widths = [widths] * len(durations)
-    if len(widths) != len(durations):
-        raise ConfigError("one duration width per duration required")
+    if not isinstance(widths, list) or len(widths) != len(durations):
+        raise ConfigError("bad synth config: one duration width per duration required")
+    widths = _bucket_bounds(widths, "duration_widths", positive=True)
     return tuple(
-        Cell(kind, a, float(d), float(w))
+        Cell(kind, a, d, w)
         for a in ages
         for d, w in zip(durations, widths)
     )
+
+
+def _bucket_bounds(values, key, positive):
+    """Finite JSON numbers as floats, each positive or nonnegative."""
+    for value in values:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and np.isfinite(value) and (value > 0 or not positive and value == 0)):
+            sign = "positive" if positive else "nonnegative"
+            raise ConfigError(
+                f"bad synth config: {key} must be {sign} numbers, got {value!r}"
+            )
+    return [float(value) for value in values]
 
 
 def _load_panel(config):

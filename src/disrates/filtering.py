@@ -13,7 +13,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng
 from .basis import check_rank
@@ -78,9 +77,14 @@ def filter_quantiles(cloud, probs):
     probs = check_quantile_levels(probs)
     w = cloud.weights
     out = np.empty((probs.size, cloud.particles.shape[1]))
-    for i in range(cloud.particles.shape[1]):
-        order = np.argsort(cloud.particles[:, i], kind="stable")
-        values = cloud.particles[order, i]
+    for i, column in enumerate(np.ascontiguousarray(cloud.particles.T)):
+        # Without ties the sorted order is unique, so the fast default sort
+        # gives the stable one; NaNs sort last and never compare equal.
+        order = np.argsort(column)
+        values = column[order]
+        if np.isnan(values[-1]) or np.any(values[1:] == values[:-1]):
+            order = np.argsort(column, kind="stable")
+            values = column[order]
         cumw = np.cumsum(w[order])
         cumw[-1] = 1.0
         idx = np.searchsorted(cumw, probs, side="left")
@@ -95,15 +99,15 @@ def ess(cloud):
 
 
 def pinned_cdf(weights):
-    """Running sum of `weights` with its last entry pinned to 1.0.
+    """Running sum of `weights` along the last axis, its last entry pinned to 1.0.
 
     The pin means rounding in the sum can never make inverse_cdf yield the
     out-of-range index len(weights), and zero-weight entries are never drawn
     (save the last, which takes up any rounding shortfall).  Callers that
     draw several times from one set of weights build this once.
     """
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
+    cdf = np.cumsum(weights, axis=-1)
+    cdf[..., -1] = 1.0
     return cdf
 
 
@@ -122,18 +126,42 @@ def _resample_indices(weights, size, gen, method):
     return inverse_cdf(pinned_cdf(weights), u)
 
 
+def _logsumexp(x):
+    """scipy.special.logsumexp of a 1-D float array, bit for bit, without
+    its per-call overhead.
+
+    The same steps as scipy 1.17: the maxima are taken out of the sum, which
+    is divided by their count, and the result is log1p(s) + log(count) +
+    max, or log(sum(exp(x))) where that is not finite (infinities, NaN).
+    """
+    top = x.max()
+    at_top = x == top
+    count = float(np.count_nonzero(at_top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, x) - top).sum()
+        if s != 0:
+            s = s / count
+        out = np.log1p(s) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(x).sum())
+    return out
+
+
 def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial", path=()):
     """Generator over filter periods.
 
-    Yields (t, particles, normalized log-weights, loglik_so_far) with
-    particles post-weighting, pre-resampling.  The smoother consumes this
-    directly so that filter and smoother clouds coincide for a given seed.
+    Yields (t, particles, normalized log-weights, loglik_so_far, ancestors)
+    with particles post-weighting, pre-resampling; ancestors[i] indexes the
+    previous cloud's particle that particle i was propagated from (None at
+    t=1).  The smoother consumes this directly so that filter and smoother
+    clouds coincide for a given seed.
     """
     n = len(slices)
     shape = (num_particles, theta.p)
     loglik_total = 0.0
     particles = None
     log_weights = None
+    ancestors = None
     for t in range(1, n + 1):
         if t == 1:
             gen = rng.substream(seed, *path, rng.INIT)
@@ -147,12 +175,12 @@ def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial"
             noise = pgen.standard_normal(shape)
             particles = step(theta, particles[ancestors], noise)
         logw = loglik_many(particles, slices[t - 1])
-        norm = logsumexp(logw)
+        norm = _logsumexp(logw)
         if not np.isfinite(norm):
             raise FilterDegeneracyError(period=t)
         loglik_total += norm - np.log(num_particles)
         log_weights = logw - norm
-        yield t, particles, log_weights, loglik_total
+        yield t, particles, log_weights, loglik_total, ancestors
 
 
 def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
@@ -167,7 +195,7 @@ def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
     clouds = []
     ess_values = []
     loglik_total = 0.0
-    for t, particles, log_weights, loglik_total in forward_pass(
+    for t, particles, log_weights, loglik_total, _ in forward_pass(
         slices, theta, num_particles, seed, resampling=resampling, path=path
     ):
         cloud = ParticleCloud(

@@ -1,11 +1,13 @@
 """Online particle smoother for the EM sufficient statistics.
 
-Alongside the bootstrap filter, each particle carries a running estimate of
-the additive smoothing functional: first-period moments (the E blocks) plus
-accumulated increment moments (the S blocks).  At every period each particle
-averages the statistics of a few backward-sampled ancestors, drawn from the
-previous cloud reweighted by the transition density, so no genealogies are
-stored and memory stays O(N) in the number of particles.
+Each particle carries a running estimate of the additive smoothing
+functional: first-period moments (the E blocks) plus accumulated increment
+moments (the S blocks).  At every period each particle averages the
+statistics of a few backward-sampled ancestors, drawn from the previous
+cloud reweighted by the transition density, so no genealogies are stored.
+An E step runs the forward filter first and keeps every period's cloud
+(particles, weights and resampling ancestors: O(n·N·p) memory), then draws
+the backward indices and runs the recursion.
 
 Backward indices are drawn either by direct categorical sampling or by an
 accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) that proposes
@@ -15,12 +17,17 @@ reference and the default of paris_smooth and smooth_slices: every particle
 weighs the whole previous cloud, costing O(N²) time per period but only
 O(block·N) memory, since the N x N weight table is built and consumed a
 block of rows at a time.  Accept-reject, the default of EM fits
-(EMConfig.backward), costs O(N·Ñ) per round, but rows that keep rejecting
-after _REJECT_MAX_ROUNDS rounds fall back to the categorical kernel, so its
-cost depends on how far the clouds are apart.  A third mode replaces
-sampling with the full backward expectation, giving the forward-filtering
-backward-smoothing estimator; it walks the same row blocks, costing O(N²)
-time and O(block·N) memory, and is intended for cross-checks.
+(EMConfig.backward), draws the indices of all periods at once: its rounds
+run over the undecided draws of every period together, at O(N·Ñ) per
+round, and rows that keep rejecting after _REJECT_MAX_ROUNDS rounds fall
+back to the categorical kernel, so its cost depends on how far the clouds
+are apart.  Under multinomial resampling it takes one of each particle's Ñ
+draws from the particle's resampling ancestor, which is itself an exact
+draw from the backward kernel (Olsson & Westerborn 2017), independent of
+the other draws given the clouds.  A third mode replaces sampling with the
+full backward expectation, giving the forward-filtering backward-smoothing
+estimator; it walks the same row blocks, costing O(N²) time and O(block·N)
+memory, and is intended for cross-checks.
 """
 
 from dataclasses import dataclass
@@ -31,7 +38,7 @@ from scipy.linalg import solve_triangular
 from . import rng
 from .basis import check_rank
 from .errors import FilterDegeneracyError
-from .filtering import forward_pass, inverse_cdf, pinned_cdf
+from .filtering import forward_pass, pinned_cdf
 from .observation import make_slices
 
 BACKWARD_METHODS = ("categorical", "reject", "exact")
@@ -75,19 +82,20 @@ def _block_rows(width):
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
-def _count_at_most(cum, u):
-    """Per row i, how many entries of cum[i] are ≤ each u[i, k].
+def _count_at_most(cum, u, rows=None):
+    """How many entries of a row of cum are ≤ each uniform in u.
 
-    For nondecreasing rows this is np.searchsorted(cum[i], u[i],
-    side="right"), computed by one branch-free bisection over all (row,
-    draw) pairs at once.  The first probe, at the largest power of two
-    k ≤ width, decides whether the count lies in [0, k) or in
-    [width − k + 1, width]; halving steps then cover either range without
-    reading past the row.
+    By default u is (rows of cum, draws) and row i of u searches row i of
+    cum; given rows (u's shape), u[k] searches row rows[k].  For
+    nondecreasing rows this is np.searchsorted(row, u, side="right"),
+    computed by one branch-free bisection over all uniforms at once.  The
+    first probe, at the largest power of two k ≤ width, decides whether the
+    count lies in [0, k) or in [width − k + 1, width]; halving steps then
+    cover either range without reading past the row.
     """
-    rows, width = cum.shape
+    num, width = cum.shape
     flat = cum.ravel()
-    base = (np.arange(rows) * width)[:, None]
+    base = (np.arange(num) * width)[:, None] if rows is None else rows * width
     step = 1 << (width.bit_length() - 1)
     pos = np.where(flat[base + step - 1] <= u, width - step + 1, 0)
     step >>= 1
@@ -158,39 +166,127 @@ def _backward_expectation(prev_logw, a, b, values, period):
     return out
 
 
-def _sample_backward_reject(prev_logw, a, b, num_backward, gen, period):
-    """Accept-reject backward sampling without the N x N table.
+def _sample_backward_reject(theta, particles, log_weights, ancestors,
+                            num_backward, gen):
+    """Backward indices for periods 2..n of one filter run, all at once.
 
-    Proposes ancestors from the filter weights and accepts with probability
-    exp(−½‖a_i − b_j‖²), the transition density over its global bound, so
-    accepted indices follow the exact backward categorical.  Rows that keep
-    rejecting (far-off particles) fall back to direct sampling.
+    particles (n, N, p) and log_weights (n, N) hold every period's cloud.
+    Returns (n − 1, N, num_backward) int32 indices into each previous cloud.
+    When ancestors (n, N) is given, draw 0 of each particle is its
+    resampling ancestor, which multinomial resampling makes an exact
+    backward draw; the rest are drawn by accept-reject: propose from the
+    previous filter weights and accept with probability exp(−½‖a_i − b_j‖²),
+    the transition density over its global bound.  The rounds run over the
+    undecided draws of every period together, and rows still undecided after
+    _REJECT_MAX_ROUNDS rounds take the categorical kernel, period by period.
     """
-    num = a.shape[0]
-    qa = np.einsum("ip,ip->i", a, a)
-    qb = np.einsum("jp,jp->j", b, b)
-    cdf = pinned_cdf(np.exp(prev_logw))
-    idx = np.full(num * num_backward, -1, dtype=np.intp)
-    alive = np.arange(num * num_backward)
+    n, num, p = particles.shape
+    first = 0 if ancestors is None else 1
+    per_row = num_backward - first
+    idx = np.empty((n - 1, num, num_backward), dtype=np.int32)
+    if ancestors is not None:
+        idx[:, :, 0] = ancestors[1:]
+    # Whitened clouds, one row per component (1-D gathers are the fast
+    # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
+    white = np.ascontiguousarray(solve_triangular(
+        theta.chol, particles.reshape(-1, p).T, lower=True, check_finite=False
+    ))
+    shift = solve_triangular(theta.chol, theta.mu, lower=True)
+    cdf = pinned_cdf(np.exp(log_weights[:-1]))
+    drawn = np.full((n - 1) * num * per_row, -1, dtype=np.int32)
+    alive = np.arange(drawn.size)
     for _ in range(_REJECT_MAX_ROUNDS):
-        rows = alive // num_backward
-        prop = inverse_cdf(cdf, gen.random(alive.size))
-        quad = qa[rows] + qb[prop] - 2.0 * np.einsum("kp,kp->k", a[rows], b[prop])
-        accept = gen.random(alive.size) < np.exp(-0.5 * quad)
-        idx[alive[accept]] = prop[accept]
+        u = gen.random((2, alive.size))
+        target = alive // per_row  # (period − 2)·N + particle
+        row = target // num
+        prop = _count_at_most(cdf, u[0], row)
+        target += num
+        previous = row * num + prop
+        quad = np.zeros(alive.size)
+        for comp, offset in zip(white, shift):
+            diff = comp.take(target)
+            diff -= offset
+            diff -= comp.take(previous)
+            diff *= diff
+            quad += diff
+        accept = u[1] < np.exp(-0.5 * quad)
+        drawn[alive[accept]] = prop[accept]
         alive = alive[~accept]
         if alive.size == 0:
             break
-    full = idx.reshape(num, num_backward)
-    if alive.size:
-        rows = np.unique(alive // num_backward)
-        draws = gen.random((rows.size, num_backward))
+    drawn = drawn.reshape(n - 1, num, per_row)
+    targets = np.unique(alive // per_row)
+    for row in np.unique(targets // num):
+        rows = targets[targets // num == row] % num
+        a = (white[:, (row + 1) * num + rows] - shift[:, None]).T
+        b = white[:, row * num:(row + 1) * num].T
+        draws = gen.random((rows.size, per_row))
         exact = _sample_backward_categorical(
-            prev_logw, a[rows], b, draws, period, ids=rows
+            log_weights[row], a, b, draws, row + 2, ids=rows
         )
-        kept = full[rows]
-        full[rows] = np.where(kept < 0, exact, kept)
-    return full
+        kept = drawn[row, rows]
+        drawn[row, rows] = np.where(kept < 0, exact, kept)
+    idx[:, :, first:] = drawn
+    return idx
+
+
+def _columns(p):
+    """Slices of the running statistics' columns: the S matrix and vector,
+    then the E matrix and vector, matrices flattened row-major."""
+    sq = p * p
+    return (slice(0, sq), slice(sq, sq + p), slice(sq + p, 2 * sq + p),
+            slice(2 * sq + p, 2 * sq + 2 * p))
+
+
+def _smoothed_tau(theta, particles, log_weights, ancestors, num_backward, seed,
+                  backward, path):
+    """The PaRIS recursion over stored clouds: each particle's running
+    statistics (see _columns) at the last period."""
+    n, num, p = particles.shape
+    sq = p * p
+    sl_smat, sl_svec, sl_emat, sl_evec = _columns(p)
+    if backward == "reject" and n > 1:
+        gen = rng.substream(seed, *path, rng.BACKWARD)
+        reject_idx = _sample_backward_reject(
+            theta, particles, log_weights, ancestors, num_backward, gen
+        )
+    tau = np.zeros((num, 2 * sq + 2 * p))
+    tau[:, sl_emat] = np.einsum("ki,kj->kij", particles[0], particles[0]).reshape(num, sq)
+    tau[:, sl_evec] = particles[0]
+    for t in range(2, n + 1):
+        prev_particles, cur = particles[t - 2], particles[t - 1]
+        prev_logw = log_weights[t - 2]
+        if backward == "reject":
+            idx = reject_idx[t - 2]
+        else:
+            a, b = _whitened(theta, prev_particles, cur)
+        if backward == "exact":
+            width = tau.shape[1]
+            prev_zz = np.einsum("ki,kj->kij", prev_particles, prev_particles)
+            values = np.hstack([tau, prev_particles, prev_zz.reshape(-1, sq)])
+            moments = _backward_expectation(prev_logw, a, b, values, t)
+            tau_new, zb, zzb = np.split(moments, [width, width + p], axis=1)
+            hmat = (
+                np.einsum("ki,kj->kij", cur, cur)
+                - np.einsum("ki,kj->kij", cur, zb)
+                - np.einsum("ki,kj->kij", zb, cur)
+                + zzb.reshape(num, p, p)
+            )
+            tau_new[:, sl_smat] += hmat.reshape(num, sq)
+            tau_new[:, sl_svec] += cur - zb
+        else:
+            if backward == "categorical":
+                gen = rng.substream(seed, *path, rng.BACKWARD, t)
+                draws = gen.random((num, num_backward))
+                idx = _sample_backward_categorical(prev_logw, a, b, draws, t)
+            deltas = cur[:, None, :] - prev_particles[idx]  # (N, Ñ, p)
+            tau_new = tau[idx].mean(axis=1)
+            tau_new[:, sl_smat] += np.einsum(
+                "kui,kuj->kij", deltas, deltas
+            ).reshape(num, sq) / num_backward
+            tau_new[:, sl_svec] += deltas.mean(axis=1)
+        tau = tau_new
+    return tau
 
 
 def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
@@ -203,60 +299,33 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
             raise ValueError("need at least 2 backward draws per particle")
         if num_particles < num_backward:
             raise ValueError("particle count must be at least the backward draw count")
-    p = theta.p
-    sq = p * p
-    sl_smat = slice(0, sq)
-    sl_svec = slice(sq, sq + p)
-    sl_emat = slice(sq + p, 2 * sq + p)
-    sl_evec = slice(2 * sq + p, 2 * sq + 2 * p)
-    tau = None
-    prev_particles = None
-    prev_logw = None
-    log_weights = None
-    n = len(slices)
-    for t, particles, log_weights, _ in forward_pass(
-        slices, theta, num_particles, seed, resampling=resampling, path=path
-    ):
-        if t == 1:
-            tau = np.zeros((num_particles, 2 * sq + 2 * p))
-            tau[:, sl_emat] = np.einsum(
-                "ki,kj->kij", particles, particles
-            ).reshape(num_particles, sq)
-            tau[:, sl_evec] = particles
-        else:
-            a, b = _whitened(theta, prev_particles, particles)
-            if backward == "exact":
-                width = tau.shape[1]
-                prev_zz = np.einsum("ki,kj->kij", prev_particles, prev_particles)
-                values = np.hstack([tau, prev_particles, prev_zz.reshape(-1, sq)])
-                moments = _backward_expectation(prev_logw, a, b, values, t)
-                tau_new, zb, zzb = np.split(moments, [width, width + p], axis=1)
-                hmat = (
-                    np.einsum("ki,kj->kij", particles, particles)
-                    - np.einsum("ki,kj->kij", particles, zb)
-                    - np.einsum("ki,kj->kij", zb, particles)
-                    + zzb.reshape(num_particles, p, p)
-                )
-                tau_new[:, sl_smat] += hmat.reshape(num_particles, sq)
-                tau_new[:, sl_svec] += particles - zb
-            else:
-                gen = rng.substream(seed, *path, rng.BACKWARD, t)
-                if backward == "categorical":
-                    draws = gen.random((num_particles, num_backward))
-                    idx = _sample_backward_categorical(prev_logw, a, b, draws, t)
-                else:
-                    idx = _sample_backward_reject(
-                        prev_logw, a, b, num_backward, gen, t
-                    )
-                deltas = particles[:, None, :] - prev_particles[idx]  # (N, Ñ, p)
-                tau_new = tau[idx].mean(axis=1)
-                tau_new[:, sl_smat] += np.einsum(
-                    "kui,kuj->kij", deltas, deltas
-                ).reshape(num_particles, sq) / num_backward
-                tau_new[:, sl_svec] += deltas.mean(axis=1)
-            tau = tau_new
-        prev_particles, prev_logw = particles, log_weights
-    flat = np.exp(log_weights) @ tau
+    n, p = len(slices), theta.p
+    particles = np.empty((n, num_particles, p))
+    log_weights = np.empty((n, num_particles))
+    ancestors = np.zeros((n, num_particles), dtype=np.int32)
+    done, failure = 0, None
+    try:
+        for t, cloud, logw, _, anc in forward_pass(
+            slices, theta, num_particles, seed, resampling=resampling, path=path
+        ):
+            particles[t - 1], log_weights[t - 1] = cloud, logw
+            if t > 1:
+                ancestors[t - 1] = anc
+            done = t
+    except FilterDegeneracyError as exc:
+        failure = exc
+    if done:
+        # Under multinomial resampling each particle's ancestor is an exact
+        # backward draw, independent of the others given the clouds.
+        exact_ancestors = ancestors[:done] if resampling == "multinomial" else None
+        # On a failed forward pass the earlier periods' backward draws are
+        # checked first, so the earliest failing period is the one reported.
+        tau = _smoothed_tau(theta, particles[:done], log_weights[:done],
+                            exact_ancestors, num_backward, seed, backward, path)
+    if failure is not None:
+        raise failure
+    sl_smat, sl_svec, sl_emat, sl_evec = _columns(p)
+    flat = np.exp(log_weights[-1]) @ tau
     s_mat = flat[sl_smat].reshape(p, p)
     e_mat = flat[sl_emat].reshape(p, p)
     return SmoothedStats(

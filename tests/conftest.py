@@ -18,7 +18,8 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One PASS/FAIL line per acceptance criterion, visible under capture."""
+    """One PASS/FAIL line per acceptance criterion with its wall time,
+    visible under capture."""
     if not _ACCEPTANCE_REPORTS:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
@@ -26,7 +27,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         parts = report.nodeid.split("::")[-1].split("_")
         number, label = parts[2], " ".join(parts[3:])
         status = "PASS" if report.passed else "FAIL"
-        terminalreporter.write_line(f"criterion {number} ({label}): {status}")
+        terminalreporter.write_line(
+            f"criterion {number} ({label}): {status} in {report.duration:.1f} s"
+        )
 
 
 TOY_EVENTS = np.array([[11, 6, 8, 11], [11, 10, 2, 3], [5, 2, 5, 1]])

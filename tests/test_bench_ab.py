@@ -111,3 +111,59 @@ def test_main_alternates_sides_on_fresh_copies(tmp_path, monkeypatch):
     assert [p["first"] for p in record["workloads"]["w"]["pairs"]] == [
         "base", "change", "base"]
     assert record["workloads"]["w"]["summary"]["op_s"]["change_wins"] == 3
+
+
+def junit_xml(times, failed=()):
+    """A JUnit XML report as pytest writes it, one testcase per criterion."""
+    cases = []
+    for number, seconds in times.items():
+        name = {4: "parameter_recovery", 5: "volatility_shrinkage",
+                8: "termination_model_parity"}[number]
+        body = '<failure message="boom"/>' if number in failed else ""
+        cases.append(f'<testcase classname="tests.test_acceptance" '
+                     f'name="test_criterion_{number}_{name}" time="{seconds}">{body}</testcase>')
+    return ('<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest">'
+            + "".join(cases) + "</testsuite></testsuites>")
+
+
+def test_parse_criteria_and_the_nothing_to_measure_error():
+    assert ab.parse_criteria("4,5,8") == [4, 5, 8]
+    for bad in ("", "4,x", "0", "all"):
+        with pytest.raises(Exception):
+            ab.parse_criteria(bad)
+    assert ab.parse_args(["--slug", "s", "--base", "HEAD", "--acceptance"]).acceptance is None
+    assert ab.parse_args(["--slug", "s", "--base", "HEAD"] + ["--pairs", "w:1"]).acceptance is False
+    with pytest.raises(SystemExit):
+        ab.parse_args(["--slug", "s", "--base", "HEAD"])
+
+
+def test_acceptance_mode_times_each_side_once(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "code.py").write_text("old\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "code.py").write_text("new\n")
+    calls = []
+
+    def fake_acceptance(tree, criteria, report):
+        side = tree.name
+        calls.append((side, criteria))
+        assert (tree / "src" / "code.py").read_text() == ("old\n" if side == "base" else "new\n")
+        times = {4: 600.0, 5: 120.0, 8: 90.0} if side == "base" else {4: 300.0, 5: 60.0, 8: 45.0}
+        Path(report).write_text(junit_xml(times, failed=(5,) if side == "change" else ()))
+
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_acceptance", fake_acceptance)
+    monkeypatch.setattr(ab, "run_perfbench", lambda *args: pytest.fail("no pairs asked"))
+    assert ab.main(["--slug", "t", "--base", "HEAD", "--acceptance", "4,5,8",
+                    "--workdir", str(tmp_path)]) == 0
+    assert calls == [("base", [4, 5, 8]), ("change", [4, 5, 8])]
+    record = json.loads((repo / "BENCH_t.json").read_text())
+    assert record["workloads"] == {}
+    acceptance = record["acceptance"]
+    assert acceptance["base"]["4"] == {"name": "parameter recovery", "passed": True,
+                                       "seconds": 600.0}
+    assert acceptance["change"]["5"]["passed"] is False
+    assert acceptance["ratio"] == {"4": 0.5, "5": 0.5, "8": 0.5}

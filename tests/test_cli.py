@@ -267,6 +267,10 @@ BAD_SETTINGS = [
     ("synth", "synth", {"periods": 2.7}, "periods"),
     ("synth", "synth", {"periods": True}, "periods"),
     ("synth", "synth", {"exposure": -5}, "exposure"),
+    # durations make the cells termination cells (see the test)
+    ("synth", "synth", {"cells": {"ages": [30, 40], "durations": ["x", 0.5]}}, "durations"),
+    ("synth", "synth", {"cells": {"ages": [30, 40], "durations": [0.0, 0.5],
+                                  "duration_widths": [-1, 0.25]}}, "duration_widths"),
 ]
 
 
@@ -276,6 +280,8 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
     body = base_config(tmp_path, em={"num_particles": 50, "max_iters": 1,
                                      "tail_window": 1}, synth=SYNTH)
     body[section] = dict(body.get(section, {}), **settings)
+    if "durations" in body.get("synth", {}).get("cells", {}):
+        body["study"] = "termination"
     config = write_config(tmp_path, **body)
     out = tmp_path / "out"
     code = main([command, "--config", config, "--theta0", write_theta(tmp_path),

@@ -215,3 +215,57 @@ def test_quantile_labels():
             quantile_labels(bad)
     with pytest.raises(ValueError, match="collide"):
         quantile_labels([0.051, 0.052])
+
+
+def logsumexp_cases():
+    gen = np.random.default_rng(31)
+    for size in (*range(1, 21), 64, 999, 1000, 1001, 4096, 20_000):
+        for scale in (1e-3, 1.0, 30.0, 800.0, 1e300):
+            x = gen.standard_normal(size) * scale
+            yield x
+            tied = x.copy()
+            tied[gen.integers(0, size, max(1, size // 3))] = x.max()
+            yield tied
+            for special in (np.inf, -np.inf, np.nan):
+                marked = x.copy()
+                marked[gen.integers(0, size)] = special
+                yield marked
+    yield from (np.full(5, -np.inf), np.full(5, np.inf), np.array([np.inf, -np.inf]),
+                np.array([np.nan]), np.full(3, 710.0), np.zeros(7),
+                np.array([-745.5, -746.0, 0.0]), np.array([1e308, 1e308, -1e308]))
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    from disrates.filtering import _logsumexp
+
+    cases = list(logsumexp_cases())
+    for x in cases:
+        with np.errstate(all="ignore"):
+            want = logsumexp(x)
+        got = _logsumexp(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+    assert len(cases) == 658
+
+
+def test_quantiles_take_the_stable_order_on_ties_nan_and_inf():
+    gen = np.random.default_rng(32)
+    base = gen.standard_normal((400, 5))
+    base[::7, 0] = 0.25  # ties
+    base[::5, 1] = -0.0
+    base[::3, 1] = 0.0  # ties of signed zeros
+    base[::9, 2] = np.inf
+    base[::11, 2] = -np.inf
+    base[::13, 3] = np.nan
+    base[-1, 4] = np.nan  # one NaN, no ties
+    weights = gen.random(400)
+    probs = np.linspace(0.01, 0.99, 25)
+    got = d.filter_quantiles(cloud(base, weights), probs)
+    w = weights / weights.sum()
+    for i in range(base.shape[1]):
+        order = np.argsort(base[:, i], kind="stable")
+        cumw = np.cumsum(w[order])
+        cumw[-1] = 1.0
+        want = base[order, i][np.searchsorted(cumw, probs, side="left")]
+        np.testing.assert_array_equal(got[:, i], want)

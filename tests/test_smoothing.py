@@ -1,4 +1,3 @@
-import copy
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,8 @@ from scipy.special import logsumexp
 
 import disrates as d
 from disrates import smoothing as sm
-from disrates.smoothing import _REJECT_MAX_ROUNDS, _sample_backward_categorical
+from disrates.filtering import forward_pass
+from disrates.observation import make_slices
 from conftest import flat_panel, random_theta, toy_basis, toy_panel, toy_theta
 
 
@@ -268,81 +268,113 @@ def test_block_expectation_matches_full_table(rows):
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
-def oracle_inverse_cdf(weights, u):
-    """The former draw primitive: the cumulative weights rebuilt on every call."""
-    cumw = np.cumsum(weights)
-    cumw[-1] = 1.0
-    return np.searchsorted(cumw, u, side="right")
-
-
-def oracle_backward_reject(prev_logw, a, b, num_backward, gen, period):
-    """The accept-reject kernel as it was before its cdf was built once per
-    call, kept word for word (with oracle_inverse_cdf) as the reference."""
-    num = a.shape[0]
-    qa = np.einsum("ip,ip->i", a, a)
-    qb = np.einsum("jp,jp->j", b, b)
-    prev_w = np.exp(prev_logw)
-    idx = np.full(num * num_backward, -1, dtype=np.intp)
-    alive = np.arange(num * num_backward)
-    for _ in range(_REJECT_MAX_ROUNDS):
-        rows = alive // num_backward
-        prop = oracle_inverse_cdf(prev_w, gen.random(alive.size))
-        quad = qa[rows] + qb[prop] - 2.0 * np.einsum("kp,kp->k", a[rows], b[prop])
-        accept = gen.random(alive.size) < np.exp(-0.5 * quad)
-        idx[alive[accept]] = prop[accept]
-        alive = alive[~accept]
-        if alive.size == 0:
-            break
-    full = idx.reshape(num, num_backward)
-    if alive.size:
-        rows = np.unique(alive // num_backward)
-        draws = gen.random((rows.size, num_backward))
-        exact = _sample_backward_categorical(
-            prev_logw, a[rows], b, draws, period, ids=rows
-        )
-        kept = full[rows]
-        full[rows] = np.where(kept < 0, exact, kept)
-    return full
-
-
-@pytest.mark.parametrize("p", [1, 2, 4])
-@pytest.mark.parametrize("num", [50, 1000])
-def test_reject_kernel_matches_the_former_kernel_bit_for_bit(monkeypatch, p, num):
-    # Most rows sit inside the previous cloud and are accepted within a few
-    # rounds; every seventh sits 4 units off, where acceptance is at most
-    # exp(-8) per proposal, so those rows reach the categorical fallback.
-    gen = np.random.default_rng(100 * p + num)
-    a, b, logw = whitened_clouds(gen, num, num, p=p, spread=0.5)
-    a[::7] += 4.0
-    fallbacks = []
-
-    def counted(*args, **kwargs):
-        fallbacks.append(args[1].shape[0])
-        return _sample_backward_categorical(*args, **kwargs)
-
-    monkeypatch.setattr(sm, "_sample_backward_categorical", counted)
-    ours, theirs = copy.deepcopy(gen), copy.deepcopy(gen)
-    got = sm._sample_backward_reject(logw, a, b, 2, ours, period=3)
-    want = oracle_backward_reject(logw, a, b, 2, theirs, period=3)
-    np.testing.assert_array_equal(got, want)
-    assert got.dtype == want.dtype
-    assert ours.bit_generator.state == theirs.bit_generator.state
-    assert fallbacks and fallbacks[0] > 0
-
-
 def test_reject_fallback_reports_the_particle_index():
-    # Row 2 lies far from the previous cloud and row 7 is NaN: both reject
-    # every proposal and reach the fallback, where row 7 must be named.
+    # Particle 2 of period 5 lies far from period 4's cloud and particle 7 is
+    # NaN: both reject every proposal and reach the fallback, where particle
+    # 7 must be named.
     gen = np.random.default_rng(23)
-    a, b, logw = whitened_clouds(gen, 10, 50, p=1, spread=0.3)
-    a[2], a[7] = 50.0, np.nan
+    theta = d.LatentParams(mu=[0.0], chol=[[1.0]], nu0=[0.0])
+    particles = 0.3 * gen.standard_normal((5, 50, 1))
+    particles[4, 2], particles[4, 7] = 50.0, np.nan
+    logw = gen.standard_normal((5, 50))
+    logw -= logsumexp(logw, axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         with pytest.raises(d.FilterDegeneracyError) as info:
-            sm._sample_backward_reject(logw, a, b, 2, gen, period=5)
+            sm._sample_backward_reject(theta, particles, logw, None, 2, gen)
     assert (info.value.period, info.value.particle) == (5, 7)
 
 
-@pytest.mark.parametrize("backward", ["categorical", "exact"])
+def test_multinomial_ancestor_is_a_backward_kernel_draw():
+    # Given both clouds, the ancestor A of particle X is distributed as the
+    # backward kernel of X, so each h(z_A) has the mean of the kernel's
+    # expectation of h, even when h is multiplied by X.  A shuffled ancestor
+    # keeps the first two means and loses the last.
+    theta, slices = toy_theta(), make_slices(toy_panel(), toy_basis())
+    got, shuffled = [], []
+    for seed in range(1500):
+        (_, prev, prev_logw, _, _), (_, cur, _, _, anc) = forward_pass(
+            slices[:2], theta, 4, seed
+        )
+        a, b = sm._whitened(theta, prev, cur)
+        z = prev[:, 0]
+        kernel = sm._backward_expectation(
+            prev_logw, a, b, np.column_stack([z, z * z]), period=2
+        )
+        x = cur[:, 0]
+        want = np.column_stack([kernel, x * kernel[:, 0]]).mean(axis=0)
+        for source, out in ((anc, got), (anc[::-1], shuffled)):
+            za = z[source]
+            out.append(np.column_stack([za, za * za, x * za]).mean(axis=0) - want)
+    for diffs, agree in ((np.array(got), [True] * 3), (np.array(shuffled), [True, True, False])):
+        se = diffs.std(axis=0, ddof=1) / np.sqrt(len(diffs))
+        assert list(np.abs(diffs.mean(axis=0)) < 4 * se) == agree
+
+
+def smoothed_replicates(method, seeds, num, resampling="multinomial"):
+    theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
+    reps = [
+        d.paris_smooth(panel, basis, theta, num, 2, seed=s, backward=method,
+                       resampling=resampling)
+        for s in seeds
+    ]
+    return np.array([
+        [r.s_vec[0], r.s_mat[0, 0], r.e_vec[0], r.e_mat[0, 0]] for r in reps
+    ])
+
+
+def ancestor_for_every_draw(theta, particles, log_weights, ancestors, num_backward, gen):
+    """A wrong kernel: each of the Ñ draws is the resampling ancestor."""
+    return np.repeat(ancestors[1:, :, None], num_backward, axis=2)
+
+
+def test_reject_draws_are_conditionally_independent(monkeypatch):
+    # On the same clouds (same seeds), the statistics' spread under reject
+    # matches categorical's.  Ñ draws that all reuse the ancestor are
+    # exact one by one but perfectly correlated, which widens the spread.
+    seeds = range(100)
+    cat = smoothed_replicates("categorical", seeds, 100).std(axis=0, ddof=1)
+    ratios = smoothed_replicates("reject", seeds, 100).std(axis=0, ddof=1) / cat
+    assert np.all((ratios >= 0.7) & (ratios <= 1.4)), ratios
+    monkeypatch.setattr(sm, "_sample_backward_reject", ancestor_for_every_draw)
+    ratios = smoothed_replicates("reject", seeds, 100).std(axis=0, ddof=1) / cat
+    assert not np.all((ratios >= 0.7) & (ratios <= 1.4)), ratios
+
+
+def test_reject_under_systematic_resampling_targets_categorical_means():
+    # Systematic resampling makes the ancestors dependent, so reject draws all
+    # Ñ indices by accept-reject there.
+    cat = smoothed_replicates("categorical", range(30), 600, "systematic")
+    rej = smoothed_replicates("reject", range(30), 600, "systematic")
+    pooled_se = np.sqrt(cat.var(axis=0, ddof=1) / 30 + rej.var(axis=0, ddof=1) / 30)
+    assert np.all(np.abs(cat.mean(axis=0) - rej.mean(axis=0)) < 4 * pooled_se + 1e-3)
+
+
+@pytest.mark.parametrize("backward", sm.BACKWARD_METHODS)
+@pytest.mark.parametrize("far_off", [False, True])
+def test_the_earliest_failing_period_is_reported(monkeypatch, backward, far_off):
+    # The forward pass fails at period 3.  With far_off, particle 0 of period
+    # 2 lies so far from period 1's cloud that its backward weights overflow:
+    # that earlier failure must be the one reported.
+    real = sm.forward_pass
+
+    def failing(*args, **kwargs):
+        for item in real(*args, **kwargs):
+            if item[0] == 3:
+                raise d.FilterDegeneracyError(period=3)
+            if item[0] == 2 and far_off:
+                item[1][0] = 1e200
+            yield item
+
+    monkeypatch.setattr(sm, "forward_pass", failing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(d.FilterDegeneracyError) as info:
+            d.paris_smooth(toy_panel(), toy_basis(), toy_theta(), 50, 2, seed=4,
+                           backward=backward)
+    want = (2, 0) if far_off else (3, None)
+    assert (info.value.period, info.value.particle) == want
+
+
+@pytest.mark.parametrize("backward", ["categorical", "reject", "exact"])
 def test_categorical_estep_memory_is_bounded(backward):
     # One N x N float64 table at N=4000 is 128 MB; the E step stays far below.
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
