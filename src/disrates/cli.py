@@ -8,6 +8,7 @@ its own; --threads is still accepted and has no effect.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -29,12 +30,7 @@ from .errors import (
     PanelValidationError,
     PDRepairError,
 )
-from .filtering import (
-    RESAMPLING_METHODS,
-    bootstrap_filter,
-    filter_to_csv,
-    quantile_labels,
-)
+from .filtering import bootstrap_filter, filter_to_csv, quantile_labels
 from .forecasting import forecast_to_csv, rate_surface, simulate_future
 from .latent import load_theta, require_valid, theta_from_dict, theta_to_json
 from .panel import Cell, StudyKind, load_panel, serialize_panel
@@ -56,6 +52,11 @@ _NUMERIC_ERRORS = (
 _DATA_ERRORS = (PanelFormatError, PanelValidationError)
 
 DEFAULT_FILTER_QUANTILES = (0.05, 0.5, 0.95)
+# The keys each settings section accepts: any other key is a configuration
+# error, so a misspelt or retired setting never passes unnoticed.
+EM_KEYS = tuple(f.name for f in dataclasses.fields(EMConfig))
+FILTER_KEYS = ("num_particles", "quantiles")
+FORECAST_KEYS = ("horizon", "num_paths", "quantiles")
 
 
 def build_parser():
@@ -152,11 +153,16 @@ def _build_cells(spec, kind):
     )
 
 
+def _is_number(value):
+    """True for JSON numbers; bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _bucket_bounds(values, key, positive):
     """Finite JSON numbers as floats, each positive or nonnegative."""
     for value in values:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and np.isfinite(value) and (value > 0 or not positive and value == 0)):
+        if not (_is_number(value) and np.isfinite(value)
+                and (value > 0 or not positive and value == 0)):
             sign = "positive" if positive else "nonnegative"
             raise ConfigError(
                 f"bad synth config: {key} must be {sign} numbers, got {value!r}"
@@ -202,24 +208,40 @@ def _int_setting(spec, section, key, default):
 def _integral(value, section, key):
     """Integers and integral floats such as 1e3 pass; booleans, fractions
     and strings do not (int() would turn true into 1, 2.7 into 2 and "12"
-    into 12)."""
-    if (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
+    into 12).  section None names a top-level key."""
+    if _is_number(value) and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    raise ConfigError(f"bad {section} config: {key} must be an integer, got {value!r}")
+    where = f"{section} config" if section else "config"
+    raise ConfigError(f"bad {where}: {key} must be an integer, got {value!r}")
+
+
+def _section(config, name, keys):
+    """config[name], or {} when unset; it must be a JSON object whose keys
+    are all among keys."""
+    spec = config.get(name, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(
+            f"bad {name} config: must be a JSON object, got {type(spec).__name__}"
+        )
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"bad {name} config: unknown setting {', '.join(map(repr, unknown))}"
+            f" (accepted: {', '.join(keys)})"
+        )
+    return spec
 
 
 def _em_config(config):
     """The EM settings, checked in full before any compute; unset ones take
     EMConfig's defaults."""
-    spec = config.get("em", {})
+    spec = _section(config, "em", EM_KEYS)
     defaults = EMConfig()
     settings = {
         key: _int_setting(spec, "em", key, getattr(defaults, key))
         for key in ("num_particles", "num_backward", "max_iters", "tail_window")
     }
-    for key in ("pd_repair", "resampling", "backward"):
-        settings[key] = spec.get(key, getattr(defaults, key))
+    settings["backward"] = spec.get("backward", defaults.backward)
     try:
         return EMConfig(**settings)
     except ValueError as exc:
@@ -227,33 +249,48 @@ def _em_config(config):
 
 
 def _quantile_levels(spec, section):
+    """The quantile levels as floats; they must be a nonempty list of JSON numbers."""
+    levels = spec.get("quantiles", DEFAULT_FILTER_QUANTILES)
+    if not (isinstance(levels, (list, tuple)) and levels and all(map(_is_number, levels))):
+        raise ConfigError(
+            f"bad {section} config: quantiles must be a nonempty list of numbers, "
+            f"got {levels!r}"
+        )
+    levels = tuple(float(q) for q in levels)
     try:
-        levels = tuple(float(q) for q in spec.get("quantiles", DEFAULT_FILTER_QUANTILES))
         quantile_labels(levels)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad {section} config: quantiles: {exc}") from exc
     return levels
 
 
 def _filter_settings(config):
-    """(particle count, quantile levels, resampling), checked before any compute."""
-    spec = config.get("filter", {})
+    """(particle count, quantile levels), checked before any compute."""
+    spec = _section(config, "filter", FILTER_KEYS)
     num = _int_setting(spec, "filter", "num_particles", 2000)
     if num < 1:
         raise ConfigError("bad filter config: num_particles must be at least 1")
-    resampling = spec.get("resampling", "multinomial")
-    if resampling not in RESAMPLING_METHODS:
-        raise ConfigError(f"bad filter config: unknown resampling method {resampling!r}")
-    return num, _quantile_levels(spec, "filter"), resampling
+    return num, _quantile_levels(spec, "filter")
+
+
+def _forecast_settings(config):
+    """(horizon, path count, quantile levels), checked before any compute."""
+    spec = _section(config, "forecast", FORECAST_KEYS)
+    horizon = _int_setting(spec, "forecast", "horizon", 10)
+    num_paths = _int_setting(spec, "forecast", "num_paths", 10000)
+    if horizon < 1 or num_paths < 1:
+        raise ConfigError("bad forecast config: horizon and num_paths must be at least 1")
+    return horizon, num_paths, _quantile_levels(spec, "forecast")
 
 
 def _seed(args, config):
     seed = args.seed if args.seed is not None else config.get("seed")
     if seed is None:
         raise ConfigError("no seed given (config 'seed' or --seed)")
-    if int(seed) < 0:
+    seed = _integral(seed, None, "seed")
+    if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    return int(seed)
+    return seed
 
 
 def _write(outdir, name, text):
@@ -303,7 +340,7 @@ def _cmd_baseline(args, config, outdir, seed):
 
 def _cmd_fit(args, config, outdir, seed):
     em_config = _em_config(config)
-    num, quantiles, resampling = _filter_settings(config)
+    num, quantiles = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta0 = _theta_from(args, config, basis)
@@ -313,22 +350,20 @@ def _cmd_fit(args, config, outdir, seed):
     trace = em_fit(panel, basis, theta0, em_config, seed)
     _write(outdir, "trace.csv", trace_to_csv(trace))
     _write(outdir, "theta_hat.json", theta_to_json(trace.theta_final))
-    output = bootstrap_filter(
-        panel, basis, trace.theta_final, num, seed, resampling=resampling
-    )
+    output = bootstrap_filter(panel, basis, trace.theta_final, num, seed)
     _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
     _write_manifest(outdir, "fit", seed, config)
     return EXIT_OK
 
 
 def _cmd_filter(args, config, outdir, seed):
-    num, quantiles, resampling = _filter_settings(config)
+    num, quantiles = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("filter needs parameters (--theta0 or config 'theta')")
-    output = bootstrap_filter(panel, basis, theta, num, seed, resampling=resampling)
+    output = bootstrap_filter(panel, basis, theta, num, seed)
     print(f"log-likelihood estimate {output.loglik_estimate:.6f}")
     _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
     _write_manifest(outdir, "filter", seed, config)
@@ -336,23 +371,15 @@ def _cmd_filter(args, config, outdir, seed):
 
 
 def _cmd_forecast(args, config, outdir, seed):
-    spec = config.get("forecast", {})
-    horizon = _int_setting(spec, "forecast", "horizon", 10)
-    num_paths = _int_setting(spec, "forecast", "num_paths", 10000)
-    if horizon < 1 or num_paths < 1:
-        raise ConfigError("bad forecast config: horizon and num_paths must be at least 1")
-    quantiles = _quantile_levels(spec, "forecast")
-    num, _, resampling = _filter_settings(config)
+    horizon, num_paths, quantiles = _forecast_settings(config)
+    num, _ = _filter_settings(config)
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
     theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("forecast needs parameters (--theta0 or config 'theta')")
-    from_mean = bool(spec.get("from_mean", False))
-    output = bootstrap_filter(panel, basis, theta, num, seed, resampling=resampling)
-    paths = simulate_future(
-        theta, output.clouds[-1], horizon, num_paths, seed, from_mean=from_mean
-    )
+    output = bootstrap_filter(panel, basis, theta, num, seed)
+    paths = simulate_future(theta, output.clouds[-1], horizon, num_paths, seed)
     surface = rate_surface(paths, basis, panel.cells, quantiles)
     _write(outdir, "forecast.csv", forecast_to_csv(surface, panel.cells, quantiles))
     _write_manifest(outdir, "forecast", seed, config)

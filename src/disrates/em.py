@@ -4,11 +4,11 @@ The E step estimates smoothed moments with the particle smoother; the M
 step is closed-form: drift from the mean smoothed increment, initial state
 from the first-period mean less one drift, and step covariance from the
 centered moment matrix.  When Monte Carlo error makes that matrix
-indefinite the step is repaired, either by redrawing the E step or by
-maximizing the covariance part of the intermediate quantity numerically
-over Cholesky factors.  There is no convergence test: the intermediate
-quantity is noisy, so the loop runs a fixed budget and the estimate is the
-average over a trailing window.
+indefinite the step is repaired: the E step is redrawn once, and if the
+matrix is still indefinite the covariance part of the intermediate quantity
+is maximized numerically over Cholesky factors.  There is no convergence
+test: the intermediate quantity is noisy, so the loop runs a fixed budget
+and the estimate is the average over a trailing window.
 """
 
 import csv
@@ -20,9 +20,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from . import rng
-from .basis import check_rank
 from .errors import MStepNotPositiveDefinite, PDRepairError
-from .filtering import RESAMPLING_METHODS
 from .latent import LatentParams, require_valid
 from .observation import make_slices
 from .smoothing import BACKWARD_METHODS, smooth_slices
@@ -36,8 +34,6 @@ class EMConfig:
     num_backward: int = 2
     max_iters: int = 200
     tail_window: int = 20
-    pd_repair: str = "resample"  # or "numeric"
-    resampling: str = "multinomial"
     # Exact accept-reject kernel; "categorical" is the exact O(N²) reference
     # and paris_smooth's default, and draws from the same distribution.
     backward: str = "reject"
@@ -47,10 +43,6 @@ class EMConfig:
             raise ValueError("max_iters and tail_window must be positive")
         if self.tail_window > self.max_iters:
             raise ValueError("tail window cannot exceed the iteration budget max_iters")
-        if self.pd_repair not in ("resample", "numeric"):
-            raise ValueError(f"unknown pd_repair strategy {self.pd_repair!r}")
-        if self.resampling not in RESAMPLING_METHODS:
-            raise ValueError(f"unknown resampling method {self.resampling!r}")
         if self.backward not in BACKWARD_METHODS:
             raise ValueError(f"unknown backward method {self.backward!r}")
         if self.num_particles < 1:
@@ -197,8 +189,6 @@ def _tail_average(thetas, window):
 def em_fit(panel, basis, theta0, config, seed):
     """Run the EM loop; returns the trace with the tail-averaged estimate."""
     require_valid(theta0)
-    if not check_rank(basis, panel.cells):
-        raise ValueError("design matrix is rank deficient over the panel cells")
     slices = make_slices(panel, basis)
     trace = EMTrace()
     theta = theta0
@@ -222,18 +212,16 @@ def em_fit(panel, basis, theta0, config, seed):
 def _estep(slices, theta, config, seed, iteration, attempt):
     return smooth_slices(
         slices, theta, config.num_particles, config.num_backward, seed,
-        backward=config.backward, resampling=config.resampling,
-        path=(rng.EM, iteration, attempt),
+        backward=config.backward, path=(rng.EM, iteration, attempt),
     )
 
 
 def _repair(slices, theta, stats, config, seed, iteration):
-    if config.pd_repair == "resample":
-        stats = _estep(slices, theta, config, seed, iteration, attempt=1)
-        try:
-            return mstep(stats), stats, "resample"
-        except MStepNotPositiveDefinite:
-            pass
+    stats = _estep(slices, theta, config, seed, iteration, attempt=1)
+    try:
+        return mstep(stats), stats, "resample"
+    except MStepNotPositiveDefinite:
+        pass
     repaired = _numeric_pd_repair(stats, theta)
     if repaired is None:
         raise PDRepairError(iteration)

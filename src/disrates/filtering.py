@@ -15,12 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .basis import check_rank
 from .errors import FilterDegeneracyError
 from .latent import require_valid, step
 from .observation import loglik_many, make_slices
-
-RESAMPLING_METHODS = ("multinomial", "systematic")
 
 
 @dataclass(frozen=True)
@@ -116,16 +113,6 @@ def inverse_cdf(cdf, u):
     return np.searchsorted(cdf, u, side="right")
 
 
-def _resample_indices(weights, size, gen, method):
-    if method == "multinomial":
-        u = gen.random(size)
-    elif method == "systematic":
-        u = (gen.random() + np.arange(size)) / size
-    else:
-        raise ValueError(f"unknown resampling method {method!r}")
-    return inverse_cdf(pinned_cdf(weights), u)
-
-
 def _logsumexp(x):
     """scipy.special.logsumexp of a 1-D float array, bit for bit, without
     its per-call overhead.
@@ -147,14 +134,15 @@ def _logsumexp(x):
     return out
 
 
-def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial", path=()):
+def forward_pass(slices, theta, num_particles, seed, *, path=()):
     """Generator over filter periods.
 
     Yields (t, particles, normalized log-weights, loglik_so_far, ancestors)
     with particles post-weighting, pre-resampling; ancestors[i] indexes the
     previous cloud's particle that particle i was propagated from (None at
-    t=1).  The smoother consumes this directly so that filter and smoother
-    clouds coincide for a given seed.
+    t=1), drawn multinomially from the previous weights.  The smoother
+    consumes this directly so that filter and smoother clouds coincide for a
+    given seed.
     """
     n = len(slices)
     shape = (num_particles, theta.p)
@@ -168,8 +156,8 @@ def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial"
             particles = step(theta, theta.nu0, gen.standard_normal(shape))
         else:
             rgen = rng.substream(seed, *path, rng.RESAMPLE, t)
-            ancestors = _resample_indices(
-                np.exp(log_weights), num_particles, rgen, resampling
+            ancestors = inverse_cdf(
+                pinned_cdf(np.exp(log_weights)), rgen.random(num_particles)
             )
             pgen = rng.substream(seed, *path, rng.PROPAGATE, t)
             noise = pgen.standard_normal(shape)
@@ -183,24 +171,21 @@ def forward_pass(slices, theta, num_particles, seed, *, resampling="multinomial"
         yield t, particles, log_weights, loglik_total, ancestors
 
 
-def bootstrap_filter(panel, basis, theta, num_particles, seed, *,
-                     resampling="multinomial", path=()):
+def bootstrap_filter(panel, basis, theta, num_particles, seed, *, path=()):
     """Run the filter over a panel; returns a FilterOutput."""
     require_valid(theta)
     if num_particles < 1:
         raise ValueError("need at least one particle")
-    if not check_rank(basis, panel.cells):
-        raise ValueError("design matrix is rank deficient over the panel cells")
     slices = make_slices(panel, basis)
     clouds = []
     ess_values = []
     loglik_total = 0.0
     for t, particles, log_weights, loglik_total, _ in forward_pass(
-        slices, theta, num_particles, seed, resampling=resampling, path=path
+        slices, theta, num_particles, seed, path=path
     ):
-        cloud = ParticleCloud(
-            particles=particles.copy(), log_weights=log_weights.copy(), period=t
-        )
+        # forward_pass yields fresh arrays each period and never writes to
+        # them again, so the clouds can hold them as they are.
+        cloud = ParticleCloud(particles=particles, log_weights=log_weights, period=t)
         clouds.append(cloud)
         ess_values.append(ess(cloud))
     return FilterOutput(

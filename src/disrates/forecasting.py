@@ -20,7 +20,6 @@ from . import rng
 from .basis import design_matrix
 from .filtering import (
     check_quantile_levels,
-    filter_mean,
     inverse_cdf,
     pinned_cdf,
     quantile_labels,
@@ -29,26 +28,24 @@ from .latent import require_valid, step
 from .observation import logistic
 
 
-def simulate_future(theta, terminal, horizon, num_paths, seed, *,
-                    from_mean=False, path=()):
+def simulate_future(theta, terminal, horizon, num_paths, seed):
     """Sample future latent paths; returns (horizon, num_paths, p).
 
-    `terminal` is the last filter cloud.  With from_mean=True every path
-    starts at the filter mean instead of a drawn particle, which understates
-    spread and exists for comparison.
+    `terminal` is a weighted cloud, normally the last filter cloud.  Each
+    path starts at a particle drawn from it by weight (stream (seed,
+    FORECAST, 0)) and then takes `horizon` steps of the random walk under
+    theta (stream (seed, FORECAST, h) for step h).  A one-particle cloud
+    starts every path at the same point.
     """
     require_valid(theta)
     if horizon < 1 or num_paths < 1:
         raise ValueError("horizon and path count must be positive")
-    if from_mean:
-        current = np.tile(filter_mean(terminal), (num_paths, 1))
-    else:
-        gen = rng.substream(seed, *path, rng.FORECAST, 0)
-        picks = inverse_cdf(pinned_cdf(terminal.weights), gen.random(num_paths))
-        current = terminal.particles[picks]
+    gen = rng.substream(seed, rng.FORECAST, 0)
+    picks = inverse_cdf(pinned_cdf(terminal.weights), gen.random(num_paths))
+    current = terminal.particles[picks]
     out = np.empty((horizon, num_paths, theta.p))
     for h in range(1, horizon + 1):
-        gen = rng.substream(seed, *path, rng.FORECAST, h)
+        gen = rng.substream(seed, rng.FORECAST, h)
         current = step(theta, current, gen.standard_normal((num_paths, theta.p)))
         out[h - 1] = current
     return out

@@ -1,13 +1,13 @@
-"""Online particle smoother for the EM sufficient statistics.
+"""Particle smoother (PaRIS) for the EM sufficient statistics.
 
-Each particle carries a running estimate of the additive smoothing
-functional: first-period moments (the E blocks) plus accumulated increment
-moments (the S blocks).  At every period each particle averages the
-statistics of a few backward-sampled ancestors, drawn from the previous
-cloud reweighted by the transition density, so no genealogies are stored.
-An E step runs the forward filter first and keeps every period's cloud
-(particles, weights and resampling ancestors: O(n·N·p) memory), then draws
-the backward indices and runs the recursion.
+An E step runs the forward filter first and keeps every period's cloud:
+particles, weights and multinomial resampling ancestors, O(n·N·p) memory.
+It then draws the backward indices and runs the recursion.  Each particle
+carries a running estimate of the additive smoothing functional:
+first-period moments (the E blocks) plus accumulated increment moments (the
+S blocks).  At every period each particle averages the statistics of Ñ
+backward draws from the previous cloud, reweighted by the transition
+density.
 
 Backward indices are drawn either by direct categorical sampling or by an
 accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) that proposes
@@ -17,17 +17,17 @@ reference and the default of paris_smooth and smooth_slices: every particle
 weighs the whole previous cloud, costing O(N²) time per period but only
 O(block·N) memory, since the N x N weight table is built and consumed a
 block of rows at a time.  Accept-reject, the default of EM fits
-(EMConfig.backward), draws the indices of all periods at once: its rounds
-run over the undecided draws of every period together, at O(N·Ñ) per
-round, and rows that keep rejecting after _REJECT_MAX_ROUNDS rounds fall
-back to the categorical kernel, so its cost depends on how far the clouds
-are apart.  Under multinomial resampling it takes one of each particle's Ñ
-draws from the particle's resampling ancestor, which is itself an exact
-draw from the backward kernel (Olsson & Westerborn 2017), independent of
-the other draws given the clouds.  A third mode replaces sampling with the
-full backward expectation, giving the forward-filtering backward-smoothing
-estimator; it walks the same row blocks, costing O(N²) time and O(block·N)
-memory, and is intended for cross-checks.
+(EMConfig.backward), takes one of each particle's Ñ draws from the
+particle's resampling ancestor, which multinomial resampling makes an exact
+draw from the backward kernel, independent of the other draws given the
+clouds (Olsson & Westerborn 2017).  It draws the other Ñ − 1 of all periods
+at once: its rounds run over the undecided draws of every period together,
+at O(N·Ñ) per round, and rows that keep rejecting after _REJECT_MAX_ROUNDS
+rounds fall back to the categorical kernel, so its cost depends on how far
+the clouds are apart.  A third mode replaces sampling with the full
+backward expectation, giving the forward-filtering backward-smoothing
+estimator; it walks the same row blocks, costing O(N²) time and
+O(block·N) memory, and is intended for cross-checks.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import rng
-from .basis import check_rank
 from .errors import FilterDegeneracyError
 from .filtering import forward_pass, pinned_cdf
 from .observation import make_slices
@@ -172,20 +171,18 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
 
     particles (n, N, p) and log_weights (n, N) hold every period's cloud.
     Returns (n − 1, N, num_backward) int32 indices into each previous cloud.
-    When ancestors (n, N) is given, draw 0 of each particle is its
-    resampling ancestor, which multinomial resampling makes an exact
-    backward draw; the rest are drawn by accept-reject: propose from the
-    previous filter weights and accept with probability exp(−½‖a_i − b_j‖²),
-    the transition density over its global bound.  The rounds run over the
-    undecided draws of every period together, and rows still undecided after
-    _REJECT_MAX_ROUNDS rounds take the categorical kernel, period by period.
+    Draw 0 of each particle is its resampling ancestor from ancestors (n, N),
+    which multinomial resampling makes an exact backward draw; the rest are
+    drawn by accept-reject: propose from the previous filter weights and
+    accept with probability exp(−½‖a_i − b_j‖²), the transition density
+    over its global bound.  The rounds run over the undecided draws of every
+    period together, and rows still undecided after _REJECT_MAX_ROUNDS
+    rounds take the categorical kernel, period by period.
     """
     n, num, p = particles.shape
-    first = 0 if ancestors is None else 1
-    per_row = num_backward - first
+    per_row = num_backward - 1
     idx = np.empty((n - 1, num, num_backward), dtype=np.int32)
-    if ancestors is not None:
-        idx[:, :, 0] = ancestors[1:]
+    idx[:, :, 0] = ancestors[1:]
     # Whitened clouds, one row per component (1-D gathers are the fast
     # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
     white = np.ascontiguousarray(solve_triangular(
@@ -226,7 +223,7 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
         )
         kept = drawn[row, rows]
         drawn[row, rows] = np.where(kept < 0, exact, kept)
-    idx[:, :, first:] = drawn
+    idx[:, :, 1:] = drawn
     return idx
 
 
@@ -290,7 +287,7 @@ def _smoothed_tau(theta, particles, log_weights, ancestors, num_backward, seed,
 
 
 def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
-                  backward="categorical", resampling="multinomial", path=()):
+                  backward="categorical", path=()):
     """PaRIS pass over precomputed period slices; see paris_smooth."""
     if backward not in BACKWARD_METHODS:
         raise ValueError(f"unknown backward method {backward!r}")
@@ -306,7 +303,7 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
     done, failure = 0, None
     try:
         for t, cloud, logw, _, anc in forward_pass(
-            slices, theta, num_particles, seed, resampling=resampling, path=path
+            slices, theta, num_particles, seed, path=path
         ):
             particles[t - 1], log_weights[t - 1] = cloud, logw
             if t > 1:
@@ -315,13 +312,10 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
     except FilterDegeneracyError as exc:
         failure = exc
     if done:
-        # Under multinomial resampling each particle's ancestor is an exact
-        # backward draw, independent of the others given the clouds.
-        exact_ancestors = ancestors[:done] if resampling == "multinomial" else None
         # On a failed forward pass the earlier periods' backward draws are
         # checked first, so the earliest failing period is the one reported.
         tau = _smoothed_tau(theta, particles[:done], log_weights[:done],
-                            exact_ancestors, num_backward, seed, backward, path)
+                            ancestors[:done], num_backward, seed, backward, path)
     if failure is not None:
         raise failure
     sl_smat, sl_svec, sl_emat, sl_evec = _columns(p)
@@ -340,12 +334,9 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
 
 
 def paris_smooth(panel, basis, theta, num_particles, num_backward, seed, *,
-                 backward="categorical", resampling="multinomial", path=()):
+                 backward="categorical"):
     """Estimate the smoothed sufficient statistics for one panel."""
-    if not check_rank(basis, panel.cells):
-        raise ValueError("design matrix is rank deficient over the panel cells")
-    slices = make_slices(panel, basis)
     return smooth_slices(
-        slices, theta, num_particles, num_backward, seed,
-        backward=backward, resampling=resampling, path=path,
+        make_slices(panel, basis), theta, num_particles, num_backward, seed,
+        backward=backward,
     )

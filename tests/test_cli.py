@@ -1,12 +1,24 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import disrates as d
-from disrates.cli import _em_config, _int_setting, main
+from disrates import rng
+from disrates.cli import (
+    EM_KEYS,
+    FILTER_KEYS,
+    FORECAST_KEYS,
+    _em_config,
+    _filter_settings,
+    _forecast_settings,
+    _int_setting,
+    main,
+)
 from conftest import TOY_PHI, toy_panel, toy_theta
 
 
@@ -271,6 +283,21 @@ BAD_SETTINGS = [
     ("synth", "synth", {"cells": {"ages": [30, 40], "durations": ["x", 0.5]}}, "durations"),
     ("synth", "synth", {"cells": {"ages": [30, 40], "durations": [0.0, 0.5],
                                   "duration_widths": [-1, 0.25]}}, "duration_widths"),
+    # retired settings, typos and sections that are not JSON objects
+    ("fit", "em", {"resampling": "multinomial"}, "'resampling'"),
+    ("fit", "em", {"pd_repair": "numeric"}, "'pd_repair'"),
+    ("fit", "filter", {"resampling": "multinomial"}, "'resampling'"),
+    ("forecast", "forecast", {"from_mean": False}, "'from_mean'"),
+    ("fit", "em", {"num_particle": 100}, "'num_particle'"),
+    ("filter", "filter", {"quantile": [0.5]}, "'quantile'"),
+    ("fit", "em", [1, 2], "must be a JSON object"),
+    ("filter", "filter", "fast", "must be a JSON object"),
+    ("forecast", "forecast", None, "must be a JSON object"),
+    # quantile levels are JSON numbers, not strings or booleans
+    ("fit", "filter", {"quantiles": ["0.5"]}, "quantiles"),
+    ("filter", "filter", {"quantiles": [0.1, True]}, "quantiles"),
+    ("forecast", "forecast", {"quantiles": [0.1, "0.9"]}, "quantiles"),
+    ("forecast", "forecast", {"quantiles": []}, "quantiles"),
 ]
 
 
@@ -279,7 +306,9 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
                                                settings, field):
     body = base_config(tmp_path, em={"num_particles": 50, "max_iters": 1,
                                      "tail_window": 1}, synth=SYNTH)
-    body[section] = dict(body.get(section, {}), **settings)
+    if isinstance(settings, dict):
+        settings = dict(body.get(section, {}), **settings)
+    body[section] = settings
     if "durations" in body.get("synth", {}).get("cells", {}):
         body["study"] = "termination"
     config = write_config(tmp_path, **body)
@@ -290,6 +319,77 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
     err = capsys.readouterr().err
     assert f"bad {section} config" in err and field in err, err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["abc", 2.7, True, "12", -1, [7]])
+def test_bad_seed_exits_2_before_any_output(tmp_path, capsys, seed):
+    config = write_config(tmp_path, **base_config(tmp_path, seed=seed))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", config, "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_seed_is_read_as_an_integer(tmp_path):
+    config = write_config(tmp_path, **base_config(tmp_path, seed=1e3))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", config, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 1000
+
+
+def readme_schema():
+    """The README's configuration schema, its // comments stripped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    return json.loads(re.sub(r"//[^\n]*", "", block))
+
+
+def test_readme_schema_lists_every_setting_with_its_default():
+    schema = readme_schema()
+    assert tuple(schema["em"]) == EM_KEYS
+    assert tuple(schema["filter"]) == FILTER_KEYS
+    assert tuple(schema["forecast"]) == FORECAST_KEYS
+    assert _em_config(schema) == _em_config({})
+    assert _filter_settings(schema) == _filter_settings({})
+    assert _forecast_settings(schema) == _forecast_settings({})
+
+
+def aliased(keys):
+    """Pairs of distinct substream keys whose SeedSequence states coincide."""
+    first, pairs = {}, []
+    for key in sorted(set(keys)):
+        state = tuple(np.random.SeedSequence(key).generate_state(4))
+        if state in first:
+            pairs.append((first[state], key))
+        first.setdefault(state, key)
+    return pairs
+
+
+def test_no_two_random_streams_of_a_run_coincide(tmp_path, monkeypatch):
+    # SeedSequence pads entropy shorter than four words with zeros, so a
+    # short key aliases its zero-padded extensions; no run may use both.
+    keys = []
+    real = rng.substream
+
+    def recording(seed, *path):
+        keys.append((int(seed),) + tuple(int(x) for x in path))
+        return real(seed, *path)
+
+    monkeypatch.setattr(rng, "substream", recording)
+    body = base_config(
+        tmp_path, synth=SYNTH, em={"num_particles": 50, "max_iters": 2, "tail_window": 1},
+        filter={"num_particles": 50}, forecast={"horizon": 3, "num_paths": 50},
+    )
+    config = write_config(tmp_path, **body)
+    for command in ("synth", "baseline", "fit", "filter", "forecast"):
+        assert main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                     "--out", str(tmp_path / command)]) == 0
+    tags = {key[1] for key in keys}
+    assert {rng.PATH, rng.COUNTS, rng.EM, rng.INIT, rng.FORECAST} <= tags
+    assert aliased(keys) == []
+    assert aliased([(42, rng.FORECAST), (42, rng.FORECAST, 0)]) == [
+        ((42, rng.FORECAST), (42, rng.FORECAST, 0))
+    ]
 
 
 def test_int_setting_accepts_integral_numbers_only():

@@ -97,8 +97,6 @@ def test_config_validation():
         d.EMConfig(max_iters=0)
     with pytest.raises(ValueError, match="tail window"):
         d.EMConfig(max_iters=5, tail_window=6)
-    with pytest.raises(ValueError, match="pd_repair"):
-        d.EMConfig(pd_repair="pray")
     # equality of window and budget is allowed
     d.EMConfig(max_iters=5, tail_window=5)
 

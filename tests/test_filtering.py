@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import disrates as d
+from disrates.filtering import inverse_cdf, pinned_cdf
 from conftest import flat_panel, toy_basis, toy_panel, toy_theta
 
 
@@ -126,23 +127,14 @@ def test_resampling_unbiasedness():
     w = out.clouds[0].weights
     counts = np.zeros(64)
     trials = 4000
-    from disrates.filtering import _resample_indices
     gen = np.random.default_rng(99)
     for _ in range(trials):
-        idx = _resample_indices(w, 64, gen, "multinomial")
+        idx = inverse_cdf(pinned_cdf(w), gen.random(64))
         counts += np.bincount(idx, minlength=64)
     expected = trials * 64 * w
     chi2 = np.sum((counts - expected) ** 2 / expected)
     # 63 degrees of freedom: mean 63, sd ~11; allow 5 sd
     assert chi2 < 63 + 5 * np.sqrt(2 * 63)
-
-
-def test_systematic_resampling_supported():
-    theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
-    out = d.bootstrap_filter(panel, basis, theta, 500, seed=5, resampling="systematic")
-    assert np.isfinite(out.loglik_estimate)
-    with pytest.raises(ValueError, match="resampling"):
-        d.bootstrap_filter(panel, basis, theta, 500, seed=5, resampling="stratified")
 
 
 def test_permuting_particles_leaves_estimates_unchanged():
@@ -180,7 +172,6 @@ def test_filter_csv_layout():
 
 
 def test_inverse_cdf_pins_the_last_cumulative_weight():
-    from disrates.filtering import inverse_cdf, pinned_cdf
     weights = np.full(10, 0.1)
     u = np.nextafter(1.0, 0.0)
     # the running sum ends at u itself, so without the pin the draw would be
@@ -193,7 +184,6 @@ def test_inverse_cdf_pins_the_last_cumulative_weight():
 
 
 def test_inverse_cdf_never_draws_zero_weights():
-    from disrates.filtering import inverse_cdf, pinned_cdf
     cdf = pinned_cdf(np.array([0.0, 0.5, 0.0, 0.5]))
     got = inverse_cdf(cdf, np.array([0.0, 0.49, 0.5, 0.999]))
     np.testing.assert_array_equal(got, [1, 1, 3, 3])

@@ -13,6 +13,11 @@ def terminal_cloud(theta=None, num=400, seed=3):
     return out.clouds[-1]
 
 
+def point_cloud(cloud):
+    """A one-particle cloud at the filter mean: every path starts there."""
+    return d.ParticleCloud(d.filter_mean(cloud)[None, :], np.array([0.0]), cloud.period)
+
+
 def test_near_deterministic_drift():
     # With a vanishing step scale every path is start + h*mu.
     theta = d.LatentParams(mu=[0.25], chol=[[1e-12]], nu0=[-2.0])
@@ -49,7 +54,7 @@ def test_horizon_mean_and_spread():
 def test_cloud_start_spreads_more_than_point_start():
     theta, cloud = toy_theta(), terminal_cloud(num=2000)
     spread = d.simulate_future(theta, cloud, 1, 50_000, seed=15)
-    point = d.simulate_future(theta, cloud, 1, 50_000, seed=15, from_mean=True)
+    point = d.simulate_future(theta, point_cloud(cloud), 1, 50_000, seed=15)
     assert spread[0, :, 0].var() > point[0, :, 0].var()
     # point-start variance must match the one-step conditional variance
     assert point[0, :, 0].var(ddof=1) == pytest.approx(
@@ -59,7 +64,7 @@ def test_cloud_start_spreads_more_than_point_start():
 
 def test_variance_grows_linearly_from_point_start():
     theta, cloud = toy_theta(), terminal_cloud()
-    paths = d.simulate_future(theta, cloud, 6, 60_000, seed=16, from_mean=True)
+    paths = d.simulate_future(theta, point_cloud(cloud), 6, 60_000, seed=16)
     v1 = paths[0, :, 0].var(ddof=1)
     v6 = paths[5, :, 0].var(ddof=1)
     assert v6 / v1 == pytest.approx(6.0, rel=0.1)

@@ -278,9 +278,10 @@ def test_reject_fallback_reports_the_particle_index():
     particles[4, 2], particles[4, 7] = 50.0, np.nan
     logw = gen.standard_normal((5, 50))
     logw -= logsumexp(logw, axis=1, keepdims=True)
+    ancestors = gen.integers(0, 50, (5, 50))
     with np.errstate(invalid="ignore"):
         with pytest.raises(d.FilterDegeneracyError) as info:
-            sm._sample_backward_reject(theta, particles, logw, None, 2, gen)
+            sm._sample_backward_reject(theta, particles, logw, ancestors, 2, gen)
     assert (info.value.period, info.value.particle) == (5, 7)
 
 
@@ -310,11 +311,10 @@ def test_multinomial_ancestor_is_a_backward_kernel_draw():
         assert list(np.abs(diffs.mean(axis=0)) < 4 * se) == agree
 
 
-def smoothed_replicates(method, seeds, num, resampling="multinomial"):
+def smoothed_replicates(method, seeds, num):
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()
     reps = [
-        d.paris_smooth(panel, basis, theta, num, 2, seed=s, backward=method,
-                       resampling=resampling)
+        d.paris_smooth(panel, basis, theta, num, 2, seed=s, backward=method)
         for s in seeds
     ]
     return np.array([
@@ -338,15 +338,6 @@ def test_reject_draws_are_conditionally_independent(monkeypatch):
     monkeypatch.setattr(sm, "_sample_backward_reject", ancestor_for_every_draw)
     ratios = smoothed_replicates("reject", seeds, 100).std(axis=0, ddof=1) / cat
     assert not np.all((ratios >= 0.7) & (ratios <= 1.4)), ratios
-
-
-def test_reject_under_systematic_resampling_targets_categorical_means():
-    # Systematic resampling makes the ancestors dependent, so reject draws all
-    # Ñ indices by accept-reject there.
-    cat = smoothed_replicates("categorical", range(30), 600, "systematic")
-    rej = smoothed_replicates("reject", range(30), 600, "systematic")
-    pooled_se = np.sqrt(cat.var(axis=0, ddof=1) / 30 + rej.var(axis=0, ddof=1) / 30)
-    assert np.all(np.abs(cat.mean(axis=0) - rej.mean(axis=0)) < 4 * pooled_se + 1e-3)
 
 
 @pytest.mark.parametrize("backward", sm.BACKWARD_METHODS)

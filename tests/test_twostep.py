@@ -120,10 +120,19 @@ def test_singular_increments_get_jitter_and_warning():
 
 
 def test_rank_deficient_design_rejected():
+    # make_slices, which each of these calls first, raises
     basis, panel, _ = big_exposure_panel()
     single = d.CellPanel(panel.cells[:1], panel.exposure[:1], panel.events[:1])
-    with pytest.raises(ValueError, match="rank"):
-        d.fit_yearly(single, basis)
+    theta = d.LatentParams(mu=[0.0, 0.0], chol=[[0.1, 0.0], [0.0, 0.1]], nu0=[-3.0, -2.0])
+    one_step = d.EMConfig(num_particles=10, max_iters=1, tail_window=1)
+    for run in (
+        lambda: d.fit_yearly(single, basis),
+        lambda: d.bootstrap_filter(single, basis, theta, 10, seed=1),
+        lambda: d.paris_smooth(single, basis, theta, 10, 2, seed=1),
+        lambda: d.em_fit(single, basis, theta, one_step, seed=1),
+    ):
+        with pytest.raises(ValueError, match="design matrix is rank deficient"):
+            run()
 
 
 def test_yearly_csv_layout():
