@@ -3,10 +3,13 @@
     python3 bench/ab.py --slug stream_forecast --base HEAD \\
         --pairs filter-forecast:401-410 --pairs fit-inception:201-203 \\
         --acceptance 4,5,8
+    python3 bench/ab.py --slug block_kernel --base ba4790b --change 5e0d9e4 \\
+        --pairs fit-inception:501-510
 
-Copies the committed files of --base, and the working tree's tracked and
-unignored files (as `git add -A` would stage them) as the change, into fresh
-directories under a temporary directory, and runs the unchanged
+Copies the committed files of --base, and as the change either the committed
+files of --change or, without it, the working tree's tracked and unignored
+files (as `git add -A` would stage them), into fresh directories under a
+temporary directory, and runs the unchanged
 `perfbench/run.py --trace 0 --seconds 25` of each copy once per seed, the two
 sides alternating which goes first.  The run length is fixed so that every
 record is comparable with every other.  Writes BENCH_<slug>.json at the root of
@@ -74,6 +77,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--slug", required=True)
     parser.add_argument("--base", required=True, help="git revision of the base side")
+    parser.add_argument("--change", default=None,
+                        help="git revision of the change side (default: the working tree)")
     parser.add_argument("--pairs", type=parse_pairs, action="append", default=[],
                         metavar="WORKLOAD:SEEDS", help="one pair per seed; repeatable")
     parser.add_argument("--acceptance", type=parse_criteria, nargs="?", const=None,
@@ -261,7 +266,10 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-ab-", dir=args.workdir) as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "change")}
         sides = {"base": copy_revision(args.base, trees["base"])}
-        sides["change"] = copy_working_tree(trees["change"])
+        if args.change is None:
+            sides["change"] = copy_working_tree(trees["change"])
+        else:
+            sides["change"] = copy_revision(args.change, trees["change"])
         for side, tree in trees.items():
             sides[side]["code_sha256"] = code_sha256(tree)
         environment, pairs_by_workload, acceptance = None, {}, None

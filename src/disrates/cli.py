@@ -52,8 +52,12 @@ _NUMERIC_ERRORS = (
 _DATA_ERRORS = (PanelFormatError, PanelValidationError)
 
 DEFAULT_FILTER_QUANTILES = (0.05, 0.5, 0.95)
-# The keys each settings section accepts: any other key is a configuration
+# The keys each level of the config accepts: any other key is a configuration
 # error, so a misspelt or retired setting never passes unnoticed.
+TOP_KEYS = ("panel", "study", "seed", "basis", "em", "filter", "forecast", "theta",
+            "theta0", "synth")
+SYNTH_KEYS = ("cells", "theta", "periods", "exposure")
+CELL_KEYS = ("ages", "durations", "duration_widths")
 EM_KEYS = tuple(f.name for f in dataclasses.fields(EMConfig))
 FILTER_KEYS = ("num_particles", "quantiles")
 FORECAST_KEYS = ("horizon", "num_paths", "quantiles")
@@ -89,9 +93,7 @@ def _load_config(path):
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    return config
+    return _section(config, None, TOP_KEYS)
 
 
 def _require(config, key):
@@ -112,26 +114,25 @@ def _build_basis(config, kind):
     spec = _require(config, "basis")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("basis config needs a 'kind'")
-    name = spec["kind"]
-    params = spec.get("params", {})
-    if name == "custom":
-        table = params.get("table") or spec.get("table")
-        if not table:
+    custom = spec["kind"] == "custom"  # read from a table; built-ins take params
+    spec = _section(config, "basis", ("kind", "table") if custom else ("kind", "params"))
+    if custom:
+        if not spec.get("table"):
             raise ConfigError("custom basis needs a 'table' CSV path")
         try:
-            return load_custom_basis(Path(table), kind)
+            return load_custom_basis(Path(spec["table"]), kind)
         except OSError as exc:
             raise ConfigError(f"cannot read basis table: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad basis table: {exc}") from exc
     try:
-        return builtin(name, **params)
+        return builtin(spec["kind"], **spec.get("params", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad basis config: {exc}") from exc
 
 
 def _build_cells(spec, kind):
-    if not isinstance(spec, dict) or not isinstance(spec.get("ages"), list):
+    if not isinstance(spec.get("ages"), list):
         raise ConfigError("bad synth config: cells need an 'ages' list")
     ages = [_integral(a, "synth", "ages") for a in spec["ages"]]
     if kind is StudyKind.INCEPTION:
@@ -140,7 +141,7 @@ def _build_cells(spec, kind):
     if not isinstance(durations, list) or not durations:
         raise ConfigError("bad synth config: termination cells need a 'durations' list")
     durations = _bucket_bounds(durations, "durations", positive=False)
-    widths = spec.get("duration_widths", spec.get("duration_width", 0.25))
+    widths = spec.get("duration_widths", 0.25)
     if np.isscalar(widths):
         widths = [widths] * len(durations)
     if not isinstance(widths, list) or len(widths) != len(durations):
@@ -216,17 +217,18 @@ def _integral(value, section, key):
 
 
 def _section(config, name, keys):
-    """config[name], or {} when unset; it must be a JSON object whose keys
-    are all among keys."""
-    spec = config.get(name, {})
+    """config[name], or {} when unset, or with name None the config itself;
+    it must be a JSON object whose keys are all among keys."""
+    spec = config if name is None else config.get(name, {})
+    where = f"{name} config" if name else "config"
     if not isinstance(spec, dict):
         raise ConfigError(
-            f"bad {name} config: must be a JSON object, got {type(spec).__name__}"
+            f"bad {where}: must be a JSON object, got {type(spec).__name__}"
         )
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ConfigError(
-            f"bad {name} config: unknown setting {', '.join(map(repr, unknown))}"
+            f"bad {where}: unknown setting {', '.join(map(repr, unknown))}"
             f" (accepted: {', '.join(keys)})"
         )
     return spec
@@ -387,9 +389,10 @@ def _cmd_forecast(args, config, outdir, seed):
 
 
 def _cmd_synth(args, config, outdir, seed):
-    spec = _require(config, "synth")
+    _require(config, "synth")
+    spec = _section(config, "synth", SYNTH_KEYS)
     kind = _study_kind(config)
-    cells = _build_cells(_require(spec, "cells"), kind)
+    cells = _build_cells(_section(spec, "cells", CELL_KEYS), kind)
     basis = _build_basis(config, kind)
     theta_spec = _require(spec, "theta")
     if isinstance(theta_spec, str):

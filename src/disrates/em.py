@@ -5,8 +5,8 @@ step is closed-form: drift from the mean smoothed increment, initial state
 from the first-period mean less one drift, and step covariance from the
 centered moment matrix.  When Monte Carlo error makes that matrix
 indefinite the step is repaired: the E step is redrawn once, and if the
-matrix is still indefinite the covariance part of the intermediate quantity
-is maximized numerically over Cholesky factors.  There is no convergence
+matrix is still indefinite its eigenvalues are floored at DIAG_FLOOR², the
+closed-form maximizer of the covariance part.  There is no convergence
 test: the intermediate quantity is noisy, so the loop runs a fixed budget
 and the estimate is the average over a trailing window.
 """
@@ -17,13 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
 from . import rng
 from .errors import MStepNotPositiveDefinite, PDRepairError
 from .latent import LatentParams, require_valid
 from .observation import make_slices
-from .smoothing import BACKWARD_METHODS, smooth_slices
+from .smoothing import check_settings, smooth_slices
 
 DIAG_FLOOR = 1e-8
 
@@ -43,19 +42,15 @@ class EMConfig:
             raise ValueError("max_iters and tail_window must be positive")
         if self.tail_window > self.max_iters:
             raise ValueError("tail window cannot exceed the iteration budget max_iters")
-        if self.backward not in BACKWARD_METHODS:
-            raise ValueError(f"unknown backward method {self.backward!r}")
-        if self.num_particles < 1:
-            raise ValueError("num_particles must be at least 1")
-        if self.backward != "exact" and not 2 <= self.num_backward <= self.num_particles:
-            raise ValueError("num_backward must lie between 2 and num_particles")
+        check_settings(self.backward, self.num_particles, self.num_backward)
 
 
 @dataclass
 class EMTrace:
     thetas: list = field(default_factory=list)  # θ^k, k = 1..max_iters
     q_values: list = field(default_factory=list)  # Q(θ^k | θ^{k-1})
-    repairs: list = field(default_factory=list)  # "none" | "resample" | "numeric"
+    # "none" | "resample" | "numeric" (the eigenvalue floor; an older label)
+    repairs: list = field(default_factory=list)
     theta_final: LatentParams = None
 
 
@@ -75,6 +70,15 @@ def _centered_c(stats, mu, nu0):
     return 0.5 * (c + c.T)
 
 
+def _closed_form(stats):
+    """(μ, ν₀, C/n): the M step's drift, start, and step covariance if PD."""
+    if stats.n < 2:
+        raise ValueError("need at least 2 periods for an M step")
+    mu = stats.s_vec / (stats.n - 1)
+    nu0 = stats.e_vec - mu
+    return mu, nu0, _centered_c(stats, mu, nu0) / stats.n
+
+
 def mstep(stats):
     """Closed-form maximizer of the intermediate quantity.
 
@@ -82,11 +86,7 @@ def mstep(stats):
     optimal step covariance has a nonpositive direction, which happens when
     Monte Carlo noise or degenerate statistics flatten it.
     """
-    if stats.n < 2:
-        raise ValueError("need at least 2 periods for an M step")
-    mu = stats.s_vec / (stats.n - 1)
-    nu0 = stats.e_vec - mu
-    cbar = _centered_c(stats, mu, nu0) / stats.n
+    mu, nu0, cbar = _closed_form(stats)
     try:
         chol = np.linalg.cholesky(cbar)
     except np.linalg.LinAlgError:
@@ -136,6 +136,9 @@ def maximize_q_numeric(stats, start):
     Exists to cross-check mstep; log-parameterized diagonal keeps the
     Cholesky factor feasible without constraints.
     """
+    # Imported here, not at module level: scipy.optimize is about a third of
+    # the package's import time, and only this cross-check uses it.
+    from scipy.optimize import minimize
     p = start.p
 
     def objective(vec):
@@ -145,37 +148,25 @@ def maximize_q_numeric(stats, start):
     return _unpack(result.x, p), -float(result.fun)
 
 
-def _numeric_pd_repair(stats, prev_theta):
-    """Maximize the covariance part over Cholesky factors.
+def _numeric_pd_repair(stats, iteration):
+    """Exact maximizer of the covariance part −(n/2)·log|Σ| − ½·tr(Σ⁻¹C) over
+    Σ with eigenvalues ≥ DIAG_FLOOR², μ and ν₀ keeping their closed form.
 
-    μ and ν₀ keep their closed-form values (they do not involve A).  For a
-    singular moment matrix the supremum can be unbounded, so the log-diagonal
-    is floored; the floor only binds in directions the data say are noiseless.
+    With C/n = V·diag(c)·Vᵀ it is Σ = V·diag(max(c, DIAG_FLOOR²))·Vᵀ: von
+    Neumann's trace inequality aligns Σ with C, leaving one scalar problem
+    per eigenvalue.  R from the QR of diag(√λ)·Vᵀ has RᵀR = Σ; its rows'
+    signs are flipped to a positive diagonal.  Raises PDRepairError when the
+    statistics give no finite factor.
     """
-    p = prev_theta.p
-    mu = stats.s_vec / (stats.n - 1)
-    nu0 = stats.e_vec - mu
-    low = np.tril_indices(p)
-    diag_positions = np.flatnonzero(low[0] == low[1])
-
-    def objective(vec):
-        # q_value uses the decoded factor as it is, never re-factoring A Aᵀ,
-        # which can fail for a near-singular A Aᵀ near the floor.
-        return -q_value(LatentParams(mu, _chol_from_free(vec, p), nu0), stats)
-
-    start = prev_theta.chol.copy()
-    np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))
-    x0 = _chol_to_free(start)
-    # The diagonal stays in [DIAG_FLOOR, 1/DIAG_FLOOR]: the ceiling never
-    # binds at a plausible step size, but keeps exp() in _chol_from_free
-    # finite when a steep objective sends the line search far out.
-    bounds = [(None, None)] * x0.size
-    for pos in diag_positions:
-        bounds[pos] = (np.log(DIAG_FLOOR), -np.log(DIAG_FLOOR))
-    result = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
-    if not np.all(np.isfinite(result.x)):
-        return None
-    return LatentParams(mu=mu, chol=_chol_from_free(result.x, p), nu0=nu0)
+    mu, nu0, cbar = _closed_form(stats)
+    if not np.isfinite(cbar).all():  # eigh need not converge on NaN
+        raise PDRepairError(iteration)
+    c, v = np.linalg.eigh(cbar)
+    r = np.linalg.qr(np.sqrt(np.maximum(c, DIAG_FLOOR**2))[:, None] * v.T, mode="r")
+    chol = (np.where(np.diag(r) < 0, -1.0, 1.0)[:, None] * r).T
+    if not np.isfinite(chol).all():
+        raise PDRepairError(iteration)
+    return LatentParams(mu=mu, chol=chol, nu0=nu0)
 
 
 def _tail_average(thetas, window):
@@ -217,15 +208,13 @@ def _estep(slices, theta, config, seed, iteration, attempt):
 
 
 def _repair(slices, theta, stats, config, seed, iteration):
+    """(θ, stats, label) after an indefinite M step: redraw the E step once,
+    then if still indefinite floor the redrawn matrix's eigenvalues."""
     stats = _estep(slices, theta, config, seed, iteration, attempt=1)
     try:
         return mstep(stats), stats, "resample"
     except MStepNotPositiveDefinite:
-        pass
-    repaired = _numeric_pd_repair(stats, theta)
-    if repaired is None:
-        raise PDRepairError(iteration)
-    return repaired, stats, "numeric"
+        return _numeric_pd_repair(stats, iteration), stats, "numeric"
 
 
 def trace_to_csv(trace):

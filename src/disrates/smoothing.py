@@ -286,16 +286,23 @@ def _smoothed_tau(theta, particles, log_weights, ancestors, num_backward, seed,
     return tau
 
 
+def check_settings(backward, num_particles, num_backward):
+    """Raise ValueError unless the smoother can run with these settings
+    (exact uses the whole cloud and ignores num_backward)."""
+    if backward not in BACKWARD_METHODS:
+        raise ValueError(f"unknown backward method {backward!r}")
+    if num_particles < 1:
+        raise ValueError("num_particles must be at least 1")
+    if backward != "exact" and num_backward < 2:
+        raise ValueError("num_backward (draws per particle) must be at least 2")
+    if backward != "exact" and num_particles < num_backward:
+        raise ValueError("num_particles must be at least the backward count num_backward")
+
+
 def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
                   backward="categorical", path=()):
     """PaRIS pass over precomputed period slices; see paris_smooth."""
-    if backward not in BACKWARD_METHODS:
-        raise ValueError(f"unknown backward method {backward!r}")
-    if backward != "exact":
-        if num_backward < 2:
-            raise ValueError("need at least 2 backward draws per particle")
-        if num_particles < num_backward:
-            raise ValueError("particle count must be at least the backward draw count")
+    check_settings(backward, num_particles, num_backward)
     n, p = len(slices), theta.p
     particles = np.empty((n, num_particles, p))
     log_weights = np.empty((n, num_particles))

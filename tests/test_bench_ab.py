@@ -167,3 +167,36 @@ def test_acceptance_mode_times_each_side_once(tmp_path, monkeypatch):
                                        "seconds": 600.0}
     assert acceptance["change"]["5"]["passed"] is False
     assert acceptance["ratio"] == {"4": 0.5, "5": 0.5, "8": 0.5}
+
+
+def test_change_rev_copies_a_commit_not_the_working_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "code.py").write_text("old\n")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "code.py").write_text("new\n")
+    git(repo, "commit", "-q", "-a", "-m", "change")
+    (repo / "src" / "code.py").write_text("uncommitted\n")
+    (repo / "src" / "untracked.py").write_text("untracked\n")
+    seen = {}
+
+    def fake_run(tree, workload, seed):
+        seen[tree.name] = (tree / "src" / "code.py").read_text()
+        assert not (tree / "src" / "untracked.py").exists()
+        return canned_stdout(0.5, 5.0 if tree.name == "base" else 2.5, 100.0)
+
+    monkeypatch.setattr(ab, "ROOT", repo)
+    monkeypatch.setattr(ab, "run_perfbench", fake_run)
+    assert ab.main(["--slug", "t", "--base", "HEAD~1", "--change", "HEAD",
+                    "--pairs", "w:1-2", "--workdir", str(tmp_path)]) == 0
+    assert seen == {"base": "old\n", "change": "new\n"}
+    record = json.loads((repo / "BENCH_t.json").read_text())
+    assert record["base"]["rev"] == "HEAD~1" and record["change"]["rev"] == "HEAD"
+    assert record["base"]["commit"] != record["change"]["commit"]
+    assert "uncommitted_changes" not in record["change"]
+    assert record["workloads"]["w"]["summary"]["op_s"]["median_ratio"] == 0.5
+    with pytest.raises(subprocess.CalledProcessError):
+        ab.main(["--slug", "t", "--base", "HEAD", "--change", "nope",
+                 "--pairs", "w:1", "--workdir", str(tmp_path)])

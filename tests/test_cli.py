@@ -249,6 +249,19 @@ def test_console_entry_point(tmp_path):
     assert "panel OK" in result.stdout
 
 
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is about a third of every command's import time, and
+    # only the test-side cross-check maximize_q_numeric needs it.
+    src = str(Path(__file__).parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import disrates.cli; "
+         "print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
 SYNTH = {"cells": {"ages": [30, 40, 50]}, "theta": d.theta_to_dict(toy_theta()),
          "periods": 4, "exposure": 50}
 BAD_SETTINGS = [
@@ -318,6 +331,45 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad {section} config" in err and field in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# Unknown keys at every level of the config, including the deleted second
+# spellings basis.params.table and cells.duration_width: (command, path of
+# the key set in the base config, its value, what the message must name).
+UNKNOWN_KEYS = {
+    "top-level": ("filter", ("filtr",), {"num_particles": 10},
+                  "bad config: unknown setting 'filtr'"),
+    "top-level-seeds": ("validate", ("seeds",), 7, "'seeds'"),
+    "basis": ("baseline", ("basis", "tabel"), "basis.csv",
+              "bad basis config: unknown setting 'tabel'"),
+    "custom-params-list": ("baseline", ("basis", "params"), [1], "'params'"),
+    "custom-params-table": ("baseline", ("basis", "params"), {"table": "basis.csv"},
+                            "'params'"),
+    "builtin-table": ("baseline", ("basis",), {"kind": "linear2", "table": "basis.csv"},
+                      "'table'"),
+    "synth": ("synth", ("synth", "period"), 4, "bad synth config: unknown setting 'period'"),
+    "cells-duration-width": ("synth", ("synth", "cells", "duration_width"), 0.25,
+                             "'duration_width'"),
+    "cells": ("synth", ("synth", "cells", "age"), [30],
+              "bad cells config: unknown setting 'age'"),
+}
+
+
+@pytest.mark.parametrize("command,path,value,key", UNKNOWN_KEYS.values(), ids=UNKNOWN_KEYS)
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, command, path, value, key):
+    body = base_config(tmp_path, synth=json.loads(json.dumps(SYNTH)))
+    node = body
+    for name in path[:-1]:
+        node = node[name]
+    node[path[-1]] = value
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    code = main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err, err
     assert not out.exists() or not any(out.iterdir())
 
 

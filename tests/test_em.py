@@ -2,8 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
-from scipy.optimize import minimize
 
 import disrates as d
 from disrates import em
@@ -135,11 +133,11 @@ def test_em_reproducible_and_improves_fit():
 
 
 def test_numeric_pd_repair_recovers_usable_theta():
-    # Degenerate statistics that break the closed form must still yield a
-    # valid parameter through the constrained numeric path.
+    # Degenerate statistics that break the M step's Cholesky factor must
+    # still yield a valid parameter through the repair.
     stats = scalar_stats(1.0, 1.0, 2.0, 4.0, n=2)
     prev = d.LatentParams(mu=[0.2], chol=[[0.5]], nu0=[1.0])
-    repaired = _numeric_pd_repair(stats, prev)
+    repaired = _numeric_pd_repair(stats, 1)
     assert repaired is not None
     assert repaired.chol[0, 0] > 0
     assert d.q_value(repaired, stats) >= d.q_value(prev, stats) - 1e-9
@@ -160,96 +158,108 @@ def test_cholesky_codec_round_trip():
     assert d.validate(d.LatentParams(np.zeros(3), decoded, np.zeros(3))) == []
 
 
-@pytest.mark.parametrize("start_sd", [0.5, 1e-12])
-def test_numeric_pd_repair_floor_binds(start_sd):
+@pytest.mark.parametrize("drift", [0.5, 1e-12])
+def test_numeric_pd_repair_floor_binds(drift):
     # A noiseless path makes the covariance part unbounded as A -> 0, so the
-    # repair stops at the floor; a start below the floor is lifted onto it.
-    stats = scalar_stats(1.0, 1.0, 2.0, 4.0, n=2)
-    prev = d.LatentParams(mu=[0.2], chol=[[start_sd]], nu0=[1.0])
-    repaired = _numeric_pd_repair(stats, prev)
+    # repair stops at the floor, whatever the path's drift.
+    stats = scalar_stats(drift, drift**2, 2.0, 4.0, n=2)
+    repaired = _numeric_pd_repair(stats, 1)
     assert repaired.chol[0, 0] == pytest.approx(DIAG_FLOOR, rel=1e-6)
 
 
-def test_numeric_pd_repair_reaches_the_floor_of_a_singular_direction(monkeypatch):
+def test_numeric_pd_repair_reaches_the_floor_of_a_singular_direction():
     # All-ones moment blocks with zero means give C = 2·11ᵀ: rank 1, so the
-    # supremum lies at a singular A Aᵀ.  Every objective value on the way must
-    # be finite, and the factor's second diagonal entry must reach the floor.
+    # supremum lies at a singular A Aᵀ, and the factor's second diagonal
+    # entry must reach the floor without a warning on the way.
     ones = np.ones((2, 2))
     stats = d.SmoothedStats(s_mat=ones, s_vec=np.zeros(2), e_mat=ones,
                             e_vec=np.zeros(2), n=2, num_particles=0, num_backward=0)
-    prev = d.LatentParams(mu=[0.0, 0.0], chol=0.5 * np.eye(2), nu0=[0.0, 0.0])
-    values = []
-    minimize = em.minimize
-
-    def recorded(fun, x0, **kwargs):
-        def wrapped(x):
-            values.append(fun(x))
-            return values[-1]
-        return minimize(wrapped, x0, **kwargs)
-
-    monkeypatch.setattr(em, "minimize", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        repaired = _numeric_pd_repair(stats, prev)
-    assert values and np.all(np.isfinite(values))
+        repaired = _numeric_pd_repair(stats, 1)
     assert abs(repaired.chol[1, 1] - DIAG_FLOOR) < 1e-6
     assert repaired.chol[0, 0] > 0.1
-    # from a start below the floor the line search must not overflow exp()
-    low = d.LatentParams(mu=[0.0, 0.0], chol=1e-12 * np.eye(2), nu0=[0.0, 0.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert d.validate(_numeric_pd_repair(stats, low)) == []
+    assert d.validate(repaired) == []
+    np.testing.assert_allclose(repaired.step_cov, ones, rtol=1e-12)
 
 
-def former_numeric_pd_repair(stats, prev_theta):
-    """The repair as it was with a hand copy of Q's covariance part as its
-    objective, kept word for word as the reference."""
-    p = prev_theta.p
-    mu = stats.s_vec / (stats.n - 1)
-    nu0 = stats.e_vec - mu
-    cstar = em._centered_c(stats, mu, nu0)
-    low = np.tril_indices(p)
-    diag_positions = np.flatnonzero(low[0] == low[1])
-
-    def objective(vec):
-        a = _chol_from_free(vec, p)
-        logdet_half = np.sum(np.log(np.diag(a)))
-        trace = np.trace(cho_solve((a, True), cstar.T))
-        return stats.n * logdet_half + 0.5 * trace
-
-    start = prev_theta.chol.copy()
-    np.fill_diagonal(start, np.maximum(np.diag(start), DIAG_FLOOR))
-    x0 = _chol_to_free(start)
-    bounds = [(None, None)] * x0.size
-    for pos in diag_positions:
-        bounds[pos] = (np.log(DIAG_FLOOR), -np.log(DIAG_FLOOR))
-    result = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
-    if not np.all(np.isfinite(result.x)):
-        return None
-    return d.LatentParams(mu=mu, chol=_chol_from_free(result.x, p), nu0=nu0)
+def moment_stats(c, n):
+    """Statistics with zero means whose centered moment matrix is c."""
+    p = c.shape[0]
+    return d.SmoothedStats(s_mat=c, s_vec=np.zeros(p), e_mat=np.zeros((p, p)),
+                           e_vec=np.zeros(p), n=n, num_particles=0, num_backward=0)
 
 
-def repair_cases():
-    gen = np.random.default_rng(35)
-    for p in (1, 2, 3):
-        for _ in range(3):
-            yield random_stats(gen, p, 6), random_theta(gen, p)
-    ones = np.ones((2, 2))
-    singular = d.SmoothedStats(s_mat=ones, s_vec=np.zeros(2), e_mat=ones,
-                               e_vec=np.zeros(2), n=2, num_particles=0,
-                               num_backward=0)
-    for sd in (0.5, 1e-12):
-        yield singular, d.LatentParams(mu=[0.0, 0.0], chol=sd * np.eye(2),
-                                       nu0=[0.0, 0.0])
+def test_numeric_pd_repair_is_the_m_step_on_positive_definite_statistics():
+    gen = np.random.default_rng(36)
+    for p in (1, 2, 3, 4):
+        for _ in range(5):
+            stats = random_stats(gen, p, n=int(gen.integers(2, 20)))
+            exact, repaired = d.mstep(stats), _numeric_pd_repair(stats, 1)
+            np.testing.assert_array_equal(repaired.mu, exact.mu)
+            np.testing.assert_array_equal(repaired.nu0, exact.nu0)
+            np.testing.assert_allclose(repaired.step_cov, exact.step_cov, rtol=1e-10)
 
 
-def test_numeric_pd_repair_matches_its_former_objective_bit_for_bit():
-    # The objective is -q_value: the former hand copy up to an exact sign flip.
-    for stats, prev in repair_cases():
-        got = _numeric_pd_repair(stats, prev)
-        want = former_numeric_pd_repair(stats, prev)
-        for name in ("mu", "chol", "nu0"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+def test_numeric_pd_repair_keeps_a_singular_moment_matrix_on_its_range():
+    # On the range of C the maximizer is C/n itself; on the null space its
+    # eigenvalue is the floor, up to the eigensolver's rounding of C/n's zero
+    # eigenvalues (a few ulps of its largest one).
+    gen = np.random.default_rng(37)
+    for p in (2, 3, 4):
+        for rank in range(1, p):
+            for _ in range(10):
+                g = gen.standard_normal((p, rank)) * gen.uniform(0.1, 10.0)
+                n = int(gen.integers(2, 20))
+                cbar = g @ g.T / n
+                repaired = _numeric_pd_repair(moment_stats(g @ g.T, n), 1)
+                assert d.validate(repaired) == []
+                span = np.linalg.svd(g)[0]
+                on, off = span[:, :rank], span[:, rank:]
+                want = on.T @ cbar @ on
+                got = on.T @ repaired.step_cov @ on
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+                null = np.sum((repaired.chol.T @ off) ** 2, axis=0)
+                slack = 8 * p * np.finfo(float).eps * np.linalg.norm(cbar, 2)
+                assert np.all(null >= DIAG_FLOOR**2 * (1 - 1e-6))
+                assert np.all(null <= DIAG_FLOOR**2 + slack)
+
+
+def test_numeric_pd_repair_of_an_indefinite_matrix_is_valid():
+    # C = diag(-0.5, 1) with n=2: the negative direction goes to the floor.
+    stats = moment_stats(np.diag([-0.5, 1.0]), n=2)
+    with pytest.raises(d.MStepNotPositiveDefinite):
+        d.mstep(stats)
+    repaired = _numeric_pd_repair(stats, 1)
+    assert d.validate(repaired) == []
+    np.testing.assert_allclose(repaired.step_cov, np.diag([DIAG_FLOOR**2, 0.5]),
+                               rtol=1e-12)
+    assert np.isfinite(d.q_value(repaired, stats))
+
+
+def test_numeric_pd_repair_of_nan_statistics_raises():
+    for c in (np.diag([np.nan, 1.0]), np.full((3, 3), np.nan)):
+        with pytest.raises(d.PDRepairError, match="iteration 7"):
+            _numeric_pd_repair(moment_stats(c, n=3), 7)
+
+
+def test_em_fit_redraws_once_then_floors_the_eigenvalues(monkeypatch):
+    indefinite = scalar_stats(0.0, -1.0, 0.0, 0.0, n=2)
+    positive = scalar_stats(0.0, 2.0, 0.0, 1.0, n=2)
+    draws = []
+
+    def fake_estep(slices, theta, config, seed, iteration, attempt):
+        draws.append((iteration, attempt))
+        return positive if (iteration, attempt) == (2, 1) else indefinite
+
+    monkeypatch.setattr(em, "_estep", fake_estep)
+    config = d.EMConfig(num_particles=10, max_iters=3, tail_window=1)
+    trace = d.em_fit(toy_panel(), toy_basis(), toy_theta(), config, seed=1)
+    assert draws == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+    assert trace.repairs == ["numeric", "resample", "numeric"]
+    assert trace.thetas[0].chol[0, 0] == pytest.approx(DIAG_FLOOR, rel=1e-6)
+    assert trace.thetas[1].chol[0, 0] == pytest.approx(np.sqrt(1.5), rel=1e-14)
+    assert d.trace_to_csv(trace).count(",numeric\n") == 2 * 3
 
 
 def test_trace_csv_layout():
