@@ -15,8 +15,10 @@ sides alternating which goes first.  The run length is fixed so that every
 record is comparable with every other.  Writes BENCH_<slug>.json at the root of
 the repository: the environment, both sides' identities, every pair's
 end-to-end metrics, and per metric each side's median and quartiles, the
-median of the change/base ratios and the number of pairs the change won
-(lower is better for every end-to-end metric; ties count for neither side).
+median of the change/base ratios, the number of pairs the change won
+(lower is better for every end-to-end metric; ties count for neither side),
+and whether that shows a gain: the change won at least nine tenths of the
+pairs and the medians differ by more than the base's interquartile range.
 
 With --acceptance, each copy also runs its own `tests/test_acceptance.py`
 once (base first), limited to the listed criteria if any are given, and the
@@ -202,13 +204,22 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def gain_shown(base, change, change_wins, pairs):
+    """Whether the pairs show a gain (lower is better): the change won at
+    least 9/10 of them, and base median - change median exceeds the base's
+    q3 - q1.  `base` and `change` are spreads."""
+    return (10 * change_wins >= 9 * pairs
+            and base["median"] - change["median"] > base["q3"] - base["q1"])
+
+
 def summarise(pairs):
-    """Per metric: each side's spread, the median change/base ratio, the wins."""
+    """Per metric: each side's spread, the median change/base ratio, the wins
+    and whether they show a gain."""
     summary = {}
     for name in METRICS:
         base = [p["base"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
-        summary[name] = {
+        entry = {
             "base": spread(base),
             "change": spread(change),
             "median_ratio": statistics.median(c / b for b, c in zip(base, change)),
@@ -216,6 +227,9 @@ def summarise(pairs):
             "base_wins": sum(b < c for b, c in zip(base, change)),
             "pairs": len(pairs),
         }
+        entry["gain_shown"] = gain_shown(entry["base"], entry["change"],
+                                         entry["change_wins"], entry["pairs"])
+        summary[name] = entry
     return summary
 
 
@@ -285,7 +299,8 @@ def main(argv=None):
         for name, s in entry["summary"].items():
             log(f"{workload} {name}: base {s['base']['median']:.4g} -> change "
                 f"{s['change']['median']:.4g} (ratio {s['median_ratio']:.3f}, "
-                f"change won {s['change_wins']}/{s['pairs']})")
+                f"change won {s['change_wins']}/{s['pairs']}, "
+                f"gain shown: {'yes' if s['gain_shown'] else 'no'})")
     print(f"wrote {target}")
     return 0
 

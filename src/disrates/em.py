@@ -84,9 +84,12 @@ def mstep(stats):
 
     Raises MStepNotPositiveDefinite (carrying the offending matrix) when the
     optimal step covariance has a nonpositive direction, which happens when
-    Monte Carlo noise or degenerate statistics flatten it.
+    Monte Carlo noise or degenerate statistics flatten it, or when it is not
+    finite.
     """
     mu, nu0, cbar = _closed_form(stats)
+    if not np.isfinite(cbar).all():  # cholesky returns a NaN factor on NaN
+        raise MStepNotPositiveDefinite(cbar)
     try:
         chol = np.linalg.cholesky(cbar)
     except np.linalg.LinAlgError:

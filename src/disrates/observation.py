@@ -66,9 +66,14 @@ def softplus(g):
     arr = np.atleast_1d(np.asarray(g, dtype=float))
     with np.errstate(over="ignore"):  # e^g overflows only where g > 30
         eg = np.exp(arr)
-    out = np.log1p(eg)
-    np.copyto(out, arr, where=arr > _SOFTPLUS_CUT)
-    np.copyto(out, eg, where=arr < -_SOFTPLUS_CUT)
+    # min and max propagate NaN, which fails both tests and takes the masks
+    if (arr.min(initial=0.0) >= -_SOFTPLUS_CUT
+            and arr.max(initial=0.0) <= _SOFTPLUS_CUT):
+        out = np.log1p(eg, out=eg)
+    else:
+        out = np.log1p(eg)
+        np.copyto(out, arr, where=arr > _SOFTPLUS_CUT)
+        np.copyto(out, eg, where=arr < -_SOFTPLUS_CUT)
     return out.reshape(np.shape(g)) if np.ndim(g) else float(out[0])
 
 

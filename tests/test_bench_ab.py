@@ -69,6 +69,25 @@ def test_record_summary_spread_ratio_and_wins():
     json.dumps(record)
 
 
+def summary_of(base_ops, change_ops):
+    pairs = [{"base": {"setup_s": 0.5, "op_s": b, "peak_rss_mb": 100.0},
+              "change": {"setup_s": 0.5, "op_s": c, "peak_rss_mb": 100.0}}
+             for b, c in zip(base_ops, change_ops)]
+    return ab.summarise(pairs)
+
+
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
+    base = [2.0, 2.1, 2.2, 2.3, 2.4, 2.2, 2.1, 2.3, 2.2, 2.25]
+    # base median 2.2, q1 2.125, q3 2.2875: an IQR of 0.1625
+    shown = summary_of(base, [1.5] * 9 + [2.5])
+    assert shown["op_s"]["change_wins"] == 9 and shown["op_s"]["gain_shown"] is True
+    short = summary_of(base, [1.5] * 8 + [2.5, 2.5])  # 8/10 pairs won
+    assert short["op_s"]["gain_shown"] is False
+    inside = summary_of(base, [b - 0.1 for b in base])  # 10/10, median gap 0.1
+    assert inside["op_s"]["change_wins"] == 10 and inside["op_s"]["gain_shown"] is False
+    assert shown["setup_s"]["gain_shown"] is False  # ties win nothing
+
+
 def git(repo, *args):
     subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
                     *args], check=True, capture_output=True)

@@ -243,6 +243,23 @@ def test_numeric_pd_repair_of_nan_statistics_raises():
             _numeric_pd_repair(moment_stats(c, n=3), 7)
 
 
+def test_mstep_of_nan_statistics_raises_and_em_fit_fails_its_repair(monkeypatch):
+    # np.linalg.cholesky returns a NaN factor for NaN input without raising
+    with pytest.raises(d.MStepNotPositiveDefinite):
+        d.mstep(moment_stats(np.array([[np.nan, 0.0], [0.0, 1.0]]), n=2))
+    draws = []
+
+    def fake_estep(slices, theta, config, seed, iteration, attempt):
+        draws.append((iteration, attempt))
+        return scalar_stats(0.0, np.nan, 0.0, 0.0, n=2)
+
+    monkeypatch.setattr(em, "_estep", fake_estep)
+    config = d.EMConfig(num_particles=10, max_iters=3, tail_window=1)
+    with pytest.raises(d.PDRepairError, match="iteration 1"):
+        d.em_fit(toy_panel(), toy_basis(), toy_theta(), config, seed=1)
+    assert draws == [(1, 0), (1, 1)]  # the redraw ran before the repair failed
+
+
 def test_em_fit_redraws_once_then_floors_the_eigenvalues(monkeypatch):
     indefinite = scalar_stats(0.0, -1.0, 0.0, 0.0, n=2)
     positive = scalar_stats(0.0, 2.0, 0.0, 1.0, n=2)

@@ -189,6 +189,26 @@ def test_inverse_cdf_never_draws_zero_weights():
     np.testing.assert_array_equal(got, [1, 1, 3, 3])
 
 
+def test_inverse_cdf_equals_a_plain_search():
+    gen = np.random.default_rng(11)
+    cdf = pinned_cdf(np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0]))
+    cases = [
+        gen.random(200),  # unsorted keys
+        np.repeat(gen.random(5), 7)[gen.permutation(35)],  # tied keys
+        np.concatenate([cdf, cdf[::-1], [0.0]]),  # keys equal to cdf entries
+        np.array([0.7]), np.array([]), gen.random((3, 4)),
+    ]
+    for u in cases:
+        got = inverse_cdf(cdf, u)
+        assert got.shape == u.shape and got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+    one = pinned_cdf(np.array([1.0]))  # N=1
+    np.testing.assert_array_equal(inverse_cdf(one, gen.random(9)), np.zeros(9))
+    for u in (0.25, np.float64(0.3), np.array(0.5)):  # scalar and 0-d keys
+        got = inverse_cdf(cdf, u)
+        assert np.ndim(got) == 0 and got == np.searchsorted(cdf, u, side="right")
+
+
 @pytest.mark.parametrize("chol", [[[-0.3]], [[0.0]], [[np.nan]]])
 def test_bootstrap_filter_rejects_invalid_theta(chol):
     theta, basis, panel = toy_theta(), toy_basis(), toy_panel()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import disrates as d
+from disrates import forecasting
 from conftest import toy_basis, toy_cells, toy_panel, toy_theta
 
 
@@ -141,13 +142,18 @@ def test_forecast_csv_rejects_colliding_labels():
         d.forecast_to_csv(surface, toy_cells(), probs)
 
 
-def whole_cube_surface(paths, basis, cells, probs):
-    """The former (C, H, M) cube version, kept as the bit-for-bit reference."""
-    design = d.design_matrix(basis, cells)
-    ordered = np.sort(np.einsum("cp,hmp->chm", design, paths), axis=-1)
-    count = paths.shape[1]
+def cube_fan(cube, probs):
+    """Quantile fan of a (C, H, M) predictor cube, taken by a full sort."""
+    ordered = np.sort(cube, axis=-1)
+    count = cube.shape[-1]
     idx = np.searchsorted(np.arange(1, count + 1) / count, probs, side="left")
     return d.logistic(ordered[..., np.minimum(idx, count - 1)])
+
+
+def whole_cube_surface(paths, basis, cells, probs):
+    """Each horizon's BLAS predictor, fully sorted: the bit-for-bit reference."""
+    design = d.design_matrix(basis, cells)
+    return cube_fan(np.stack([design @ states.T for states in paths], axis=1), probs)
 
 
 def wide_basis(num_cells, p, seed):
@@ -164,11 +170,31 @@ def test_streamed_surface_matches_whole_cube(count):
     # exact ties: repeated paths and a horizon where every path is the same
     paths[:, count // 2:] = paths[:, : count - count // 2]
     paths[2] = paths[2, :1]
+    einsum_cube = np.einsum("cp,hmp->chm", d.design_matrix(basis, cells), paths)
     for probs in ([0.05, 0.5, 0.95], [0.41, 0.45], [0.001, 0.999], [0.5]):
         want = whole_cube_surface(paths, basis, cells, probs)
         got = d.rate_surface(paths, basis, cells, probs)
         assert got.shape == want.shape == (5, 4, len(probs))
         np.testing.assert_array_equal(got, want)
+        # the former einsum predictor sums in another order: last bits only
+        np.testing.assert_allclose(got, cube_fan(einsum_cube, probs), rtol=1e-13)
+
+
+@pytest.mark.parametrize("count", [1, 2, 10, 1001])
+def test_select_ranks_equals_a_full_sort(count):
+    gen = np.random.default_rng(count)
+    rows = gen.standard_normal((6, count))
+    rows[1] = rows[1, 0]  # a row of one value
+    rows[2] = gen.integers(0, 3, count)  # a row of few, tied values
+    rows[3, : count // 2] = -0.0
+    every = np.arange(count)
+    for kth in ([0], [count - 1], [count // 2], every, every[::-1],
+                [count - 1, 0, count // 2, 0, count - 1], gen.integers(0, count, 7)):
+        kth = np.asarray(kth)
+        work = rows.copy()
+        forecasting._select_ranks(work, kth)
+        np.testing.assert_array_equal(work[:, kth], np.sort(rows, axis=1)[:, kth])
+        np.testing.assert_array_equal(np.sort(work, axis=1), np.sort(rows, axis=1))
 
 
 def test_levels_sharing_an_order_statistic():

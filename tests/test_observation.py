@@ -118,8 +118,11 @@ def assert_same_bits(got, want):
 def test_softplus_is_bit_identical_to_masked_reference():
     gen = np.random.default_rng(5)
     edges = softplus_edge_values()
+    # arrays wholly inside [-30, 30] take the unmasked path, the others the masks
+    inside = np.array([30.0, -30.0, -0.0, 0.0, 29.5, -29.5, 1e-300, -5e-324])
     for values in (gen.normal(-3, 1.5, (42, 2000)), gen.normal(0, 300, (7, 333)),
-                   edges, edges.reshape(3, -1), edges[::-1].copy()):
+                   edges, edges.reshape(3, -1), edges[::-1].copy(),
+                   inside, gen.uniform(-30, 30, (12, 2000)), np.zeros(0)):
         assert_same_bits(d.softplus(values), masked_softplus(values))
         assert_same_bits(d.softplus(values.ravel()), masked_softplus(values.ravel()))
     for value in edges:
