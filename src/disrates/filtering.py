@@ -90,9 +90,12 @@ def filter_quantiles(cloud, probs):
 
 
 def ess(cloud):
-    """Effective sample size 1/Σw²; N for uniform weights, 1 for one-hot."""
-    w = cloud.weights
-    return 1.0 / float(w @ w)
+    """Effective sample size 1/Σw²; N for uniform weights, 1 for one-hot.
+
+    The sum is numpy's own, not a BLAS dot product, so it does not depend on
+    the BLAS thread count.
+    """
+    return 1.0 / float(np.square(cloud.weights).sum())
 
 
 def pinned_cdf(weights):
@@ -211,10 +214,9 @@ def filter_to_csv(output, probs=(0.05, 0.5, 0.95)):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["period", "component", "mean"] + labels + ["ess"])
-    for cloud in output.clouds:
+    for cloud, size in zip(output.clouds, output.ess):
         mean = filter_mean(cloud)
         quants = filter_quantiles(cloud, probs)
-        size = ess(cloud)
         for i in range(cloud.particles.shape[1]):
             row = [cloud.period, i + 1, repr(float(mean[i]))]
             row += [repr(float(q)) for q in quants[:, i]]

@@ -1,13 +1,14 @@
-"""Particle smoother (PaRIS) for the EM sufficient statistics.
+"""Particle smoother for the EM sufficient statistics.
 
 An E step runs the forward filter first and keeps every period's cloud:
 particles, weights and multinomial resampling ancestors, O(n·N·p) memory.
-It then draws the backward indices and runs the recursion.  Each particle
-carries a running estimate of the additive smoothing functional:
-first-period moments (the E blocks) plus accumulated increment moments (the
-S blocks).  At every period each particle averages the statistics of Ñ
-backward draws from the previous cloud, reweighted by the transition
-density.
+It then draws the backward indices, in forward period order, and makes one
+backward sweep, the backward-weight form of forward-filtering
+backward-smoothing (Doucet, Godsill & Andrieu 2000): weights ω start at the
+last filter weights, each period adds its increment moments (the S blocks)
+weighted by ω and carries ω back through the backward kernel, and the first
+cloud weighted by ω gives the first-period moments (the E blocks).  On the
+same draws this is the PaRIS estimator (Olsson & Westerborn 2017).
 
 Backward indices are drawn either by direct categorical sampling or by an
 accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) that proposes
@@ -24,10 +25,9 @@ clouds (Olsson & Westerborn 2017).  It draws the other Ñ − 1 of all periods
 at once: its rounds run over the undecided draws of every period together,
 at O(N·Ñ) per round, and rows that keep rejecting after _REJECT_MAX_ROUNDS
 rounds fall back to the categorical kernel, so its cost depends on how far
-the clouds are apart.  A third mode replaces sampling with the full
-backward expectation, giving the forward-filtering backward-smoothing
-estimator; it walks the same row blocks, costing O(N²) time and
-O(block·N) memory, and is intended for cross-checks.
+the clouds are apart.  A third mode, exact, draws nothing: the sweep
+carries ω through the whole backward kernel, walking the same row blocks at
+O(N²) time and O(block·N) memory; it is intended for cross-checks.
 """
 
 from dataclasses import dataclass
@@ -155,16 +155,6 @@ def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
     return np.minimum(idx, b.shape[0] - 1)
 
 
-def _backward_expectation(prev_logw, a, b, values, period):
-    """Per row of a, the backward kernel's expectation of values, which has
-    one row per particle of the previous cloud."""
-    out = np.empty((a.shape[0], values.shape[1]))
-    for start, stop, weights, _ in _backward_blocks(prev_logw, a, b, period):
-        weights /= weights.sum(axis=1, keepdims=True)
-        np.matmul(weights, values, out=out[start:stop])
-    return out
-
-
 def _sample_backward_reject(theta, particles, log_weights, ancestors,
                             num_backward, gen):
     """Backward indices for periods 2..n of one filter run, all at once.
@@ -227,63 +217,68 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
     return idx
 
 
-def _columns(p):
-    """Slices of the running statistics' columns: the S matrix and vector,
-    then the E matrix and vector, matrices flattened row-major."""
-    sq = p * p
-    return (slice(0, sq), slice(sq, sq + p), slice(sq + p, 2 * sq + p),
-            slice(2 * sq + p, 2 * sq + 2 * p))
-
-
-def _smoothed_tau(theta, particles, log_weights, ancestors, num_backward, seed,
-                  backward, path):
-    """The PaRIS recursion over stored clouds: each particle's running
-    statistics (see _columns) at the last period."""
-    n, num, p = particles.shape
-    sq = p * p
-    sl_smat, sl_svec, sl_emat, sl_evec = _columns(p)
-    if backward == "reject" and n > 1:
+def _backward_indices(theta, particles, log_weights, ancestors, num_backward,
+                      seed, backward, path):
+    """Backward indices for periods 2..n, (n − 1, N, num_backward), drawn in
+    forward period order so that the earliest failing period is raised; None
+    for exact, which draws none."""
+    n, num, _ = particles.shape
+    if backward == "exact" or n == 1:
+        return None
+    if backward == "reject":
         gen = rng.substream(seed, *path, rng.BACKWARD)
-        reject_idx = _sample_backward_reject(
+        return _sample_backward_reject(
             theta, particles, log_weights, ancestors, num_backward, gen
         )
-    tau = np.zeros((num, 2 * sq + 2 * p))
-    tau[:, sl_emat] = np.einsum("ki,kj->kij", particles[0], particles[0]).reshape(num, sq)
-    tau[:, sl_evec] = particles[0]
+    idx = np.empty((n - 1, num, num_backward), dtype=np.intp)
     for t in range(2, n + 1):
-        prev_particles, cur = particles[t - 2], particles[t - 1]
-        prev_logw = log_weights[t - 2]
-        if backward == "reject":
-            idx = reject_idx[t - 2]
+        a, b = _whitened(theta, particles[t - 2], particles[t - 1])
+        draws = rng.substream(seed, *path, rng.BACKWARD, t).random((num, num_backward))
+        idx[t - 2] = _sample_backward_categorical(log_weights[t - 2], a, b, draws, t)
+    return idx
+
+
+def _smoothed_sums(theta, particles, log_weights, idx):
+    """(s_mat, s_vec, e_mat, e_vec) by the backward sweep (see the module
+    docstring) through the drawn indices idx, each draw weighing 1/Ñ, or,
+    when idx is None, through the exact kernel B: its normalised rows give
+    the mean predecessors zb = B·z_{t−1}, and ω_{t−1} = Bᵀω."""
+    n, num, p = particles.shape
+    s_mat, s_vec = np.zeros((p, p)), np.zeros(p)
+    omega = np.exp(log_weights[-1])
+    failure = None
+    for t in range(n, 1, -1):
+        prev, cur, prev_logw = particles[t - 2], particles[t - 1], log_weights[t - 2]
+        if idx is None:
+            a, b = _whitened(theta, prev, cur)
+            zb, omega_prev = np.empty_like(cur), np.zeros(num)
+            try:
+                for start, stop, weights, _ in _backward_blocks(prev_logw, a, b, t):
+                    weights /= weights.sum(axis=1, keepdims=True)
+                    np.matmul(weights, prev, out=zb[start:stop])
+                    omega_prev += omega[start:stop] @ weights
+            except FilterDegeneracyError as exc:
+                # The sweep runs backwards, so it goes on to the earlier
+                # periods: the earliest failing one is raised.
+                failure = exc
+                continue
+            wcur, wprev = omega[:, None] * cur, omega_prev[:, None] * prev
+            cross = wcur.T @ zb
+            s_mat += wcur.T @ cur - cross - cross.T + wprev.T @ prev
+            s_vec += omega @ (cur - zb)
         else:
-            a, b = _whitened(theta, prev_particles, cur)
-        if backward == "exact":
-            width = tau.shape[1]
-            prev_zz = np.einsum("ki,kj->kij", prev_particles, prev_particles)
-            values = np.hstack([tau, prev_particles, prev_zz.reshape(-1, sq)])
-            moments = _backward_expectation(prev_logw, a, b, values, t)
-            tau_new, zb, zzb = np.split(moments, [width, width + p], axis=1)
-            hmat = (
-                np.einsum("ki,kj->kij", cur, cur)
-                - np.einsum("ki,kj->kij", cur, zb)
-                - np.einsum("ki,kj->kij", zb, cur)
-                + zzb.reshape(num, p, p)
-            )
-            tau_new[:, sl_smat] += hmat.reshape(num, sq)
-            tau_new[:, sl_svec] += cur - zb
-        else:
-            if backward == "categorical":
-                gen = rng.substream(seed, *path, rng.BACKWARD, t)
-                draws = gen.random((num, num_backward))
-                idx = _sample_backward_categorical(prev_logw, a, b, draws, t)
-            deltas = cur[:, None, :] - prev_particles[idx]  # (N, Ñ, p)
-            tau_new = tau[idx].mean(axis=1)
-            tau_new[:, sl_smat] += np.einsum(
-                "kui,kuj->kij", deltas, deltas
-            ).reshape(num, sq) / num_backward
-            tau_new[:, sl_svec] += deltas.mean(axis=1)
-        tau = tau_new
-    return tau
+            draws = idx[t - 2]
+            num_backward = draws.shape[1]
+            deltas = (cur[:, None, :] - prev[draws]).reshape(-1, p)
+            w = np.repeat(omega / num_backward, num_backward)
+            s_mat += deltas.T @ (w[:, None] * deltas)
+            s_vec += w @ deltas
+            omega_prev = np.bincount(draws.ravel(), w, minlength=num)
+        omega = omega_prev
+    if failure is not None:
+        raise failure
+    first = particles[0]
+    return s_mat, s_vec, (omega[:, None] * first).T @ first, omega @ first
 
 
 def check_settings(backward, num_particles, num_backward):
@@ -301,7 +296,7 @@ def check_settings(backward, num_particles, num_backward):
 
 def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
                   backward="categorical", path=()):
-    """PaRIS pass over precomputed period slices; see paris_smooth."""
+    """Smoothed statistics over precomputed period slices; see paris_smooth."""
     check_settings(backward, num_particles, num_backward)
     n, p = len(slices), theta.p
     particles = np.empty((n, num_particles, p))
@@ -319,21 +314,19 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
     except FilterDegeneracyError as exc:
         failure = exc
     if done:
-        # On a failed forward pass the earlier periods' backward draws are
+        # On a failed forward pass the earlier periods' backward kernels are
         # checked first, so the earliest failing period is the one reported.
-        tau = _smoothed_tau(theta, particles[:done], log_weights[:done],
-                            ancestors[:done], num_backward, seed, backward, path)
+        clouds, logws = particles[:done], log_weights[:done]
+        idx = _backward_indices(theta, clouds, logws, ancestors[:done],
+                                num_backward, seed, backward, path)
+        s_mat, s_vec, e_mat, e_vec = _smoothed_sums(theta, clouds, logws, idx)
     if failure is not None:
         raise failure
-    sl_smat, sl_svec, sl_emat, sl_evec = _columns(p)
-    flat = np.exp(log_weights[-1]) @ tau
-    s_mat = flat[sl_smat].reshape(p, p)
-    e_mat = flat[sl_emat].reshape(p, p)
     return SmoothedStats(
         s_mat=0.5 * (s_mat + s_mat.T),
-        s_vec=flat[sl_svec].copy(),
+        s_vec=s_vec,
         e_mat=0.5 * (e_mat + e_mat.T),
-        e_vec=flat[sl_evec].copy(),
+        e_vec=e_vec,
         n=n,
         num_particles=num_particles,
         num_backward=(num_particles if backward == "exact" else num_backward),

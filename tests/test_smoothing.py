@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ import disrates as d
 from disrates import smoothing as sm
 from disrates.filtering import forward_pass
 from disrates.observation import make_slices
-from conftest import flat_panel, random_theta, toy_basis, toy_panel, toy_theta
+from conftest import (flat_panel, inception_setup, random_theta, termination_setup,
+                      toy_basis, toy_cells, toy_panel, toy_theta)
 
 
 def prior_moments(theta, n):
@@ -50,13 +55,20 @@ def test_single_period_panel():
     assert stats.e_vec[0] == pytest.approx(d.filter_mean(out.clouds[0])[0], rel=1e-12)
 
 
+def normalised_rows(prev_logw, a, b, period):
+    """The backward kernel, one normalised row per row of a, assembled from
+    the row blocks of _backward_blocks."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start, stop, weights, _ in sm._backward_blocks(prev_logw, a, b, period):
+        out[start:stop] = weights / weights.sum(axis=1, keepdims=True)
+    return out
+
+
 def backward_rows(theta, prev, targets):
-    """Each target's backward-kernel probabilities over the previous cloud:
-    the expectation of one-hot values is the weight row itself."""
+    """Each target's backward-kernel probabilities over the previous cloud."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     a, b = sm._whitened(theta, prev.particles, targets)
-    values = np.eye(prev.particles.shape[0])
-    return sm._backward_expectation(prev.log_weights, a, b, values, prev.period + 1)
+    return normalised_rows(prev.log_weights, a, b, prev.period + 1)
 
 
 def test_backward_categorical_point_mass():
@@ -248,8 +260,8 @@ def test_block_kernel_reports_the_particle_index():
 
 
 def oracle_backward_expectation(prev_logw, a, b, values):
-    """The former full-table exact update: the whole normalised N x N
-    backward table, then one matmul."""
+    """The backward kernel's expectation of values: the whole normalised
+    N x N backward table, then one matmul."""
     qa = np.einsum("ip,ip->i", a, a)
     qb = np.einsum("jp,jp->j", b, b)
     quad = qa[:, None] + qb[None, :] - 2.0 * (a @ b.T)
@@ -263,9 +275,70 @@ def test_block_expectation_matches_full_table(rows):
     gen = np.random.default_rng(rows)
     a, b, logw = whitened_clouds(gen, rows, WIDTH)
     values = gen.random((WIDTH, 7))  # positive: no cancellation, so rtol holds
-    got = sm._backward_expectation(logw, a, b, values, period=2)
+    got = normalised_rows(logw, a, b, period=2) @ values
     want = oracle_backward_expectation(logw, a, b, values)
     np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def tau_recursion(theta, particles, log_weights, idx):
+    """The four blocks by the PaRIS τ recursion: each particle carries its
+    running statistics (S matrix, S vector, E matrix, E vector, matrices
+    flattened), averaged over its backward draws idx or, when idx is None,
+    over the full-table exact kernel; the blocks are Σᵢ wₙ(i)·τₙ(i)."""
+    n, num, p = particles.shape
+    sq = p * p
+
+    def outer(x, y):
+        return np.einsum("ki,kj->kij", x, y).reshape(num, sq)
+
+    tau = np.hstack([np.zeros((num, sq + p)), outer(particles[0], particles[0]),
+                     particles[0]])
+    for t in range(2, n + 1):
+        prev, cur = particles[t - 2], particles[t - 1]
+        if idx is None:
+            a, b = sm._whitened(theta, prev, cur)
+            values = np.hstack([tau, prev, outer(prev, prev)])
+            moments = oracle_backward_expectation(log_weights[t - 2], a, b, values)
+            tau, zb, zzb = np.split(moments, [tau.shape[1], tau.shape[1] + p], axis=1)
+            tau[:, :sq] += outer(cur, cur) - outer(cur, zb) - outer(zb, cur) + zzb
+            tau[:, sq:sq + p] += cur - zb
+        else:
+            deltas = cur[:, None, :] - prev[idx[t - 2]]
+            tau = tau[idx[t - 2]].mean(axis=1)
+            sq_mean = np.einsum("kui,kuj->kij", deltas, deltas) / deltas.shape[1]
+            tau[:, :sq] += sq_mean.reshape(num, sq)
+            tau[:, sq:sq + p] += deltas.mean(axis=1)
+    flat = np.exp(log_weights[-1]) @ tau
+    s_mat, s_vec, e_mat, e_vec = np.split(flat, [sq, sq + p, 2 * sq + p])
+    return s_mat.reshape(p, p), s_vec, e_mat.reshape(p, p), e_vec
+
+
+def stored_clouds(basis, cells, num, seed):
+    """Every period's cloud of one filter run on a generated panel."""
+    p = basis.p
+    theta = d.LatentParams(mu=np.full(p, 0.05), chol=0.2 * np.eye(p),
+                           nu0=np.full(p, -2.0))
+    panel, _ = d.generate(theta, basis, cells, 2000, 8, seed=seed)
+    items = list(forward_pass(make_slices(panel, basis), theta, num, seed))
+    particles = np.array([item[1] for item in items])
+    log_weights = np.array([item[2] for item in items])
+    ancestors = np.array([np.zeros(num, dtype=np.intp)] + [item[4] for item in items[1:]])
+    return theta, particles, log_weights, ancestors
+
+
+@pytest.mark.parametrize("backward", sm.BACKWARD_METHODS)
+@pytest.mark.parametrize("setup", [
+    lambda: (toy_basis(), toy_cells()), inception_setup, termination_setup,
+], ids=["p1", "p2", "p4"])
+def test_backward_sweep_matches_the_tau_recursion(backward, setup):
+    basis, cells = setup()
+    theta, particles, log_weights, ancestors = stored_clouds(basis, cells, 300, seed=31)
+    idx = sm._backward_indices(theta, particles, log_weights, ancestors, 3, 31,
+                               backward, ())
+    got = sm._smoothed_sums(theta, particles, log_weights, idx)
+    want = tau_recursion(theta, particles, log_weights, idx)
+    for block, oracle in zip(got, want):
+        assert np.max(np.abs(block - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_reject_fallback_reports_the_particle_index():
@@ -298,9 +371,8 @@ def test_multinomial_ancestor_is_a_backward_kernel_draw():
         )
         a, b = sm._whitened(theta, prev, cur)
         z = prev[:, 0]
-        kernel = sm._backward_expectation(
-            prev_logw, a, b, np.column_stack([z, z * z]), period=2
-        )
+        rows = normalised_rows(prev_logw, a, b, period=2)
+        kernel = rows @ np.column_stack([z, z * z])
         x = cur[:, 0]
         want = np.column_stack([kernel, x * kernel[:, 0]]).mean(axis=0)
         for source, out in ((anc, got), (anc[::-1], shuffled)):
@@ -341,18 +413,24 @@ def test_reject_draws_are_conditionally_independent(monkeypatch):
 
 
 @pytest.mark.parametrize("backward", sm.BACKWARD_METHODS)
-@pytest.mark.parametrize("far_off", [False, True])
-def test_the_earliest_failing_period_is_reported(monkeypatch, backward, far_off):
-    # The forward pass fails at period 3.  With far_off, particle 0 of period
-    # 2 lies so far from period 1's cloud that its backward weights overflow:
-    # that earlier failure must be the one reported.
+@pytest.mark.parametrize("far_off, forward_fails", [
+    pytest.param((), True, id="False"),
+    pytest.param((2,), True, id="True"),
+    pytest.param((2, 4), False, id="periods_2_and_4"),
+])
+def test_the_earliest_failing_period_is_reported(monkeypatch, backward, far_off,
+                                                 forward_fails):
+    # With forward_fails the forward pass fails at period 3.  Particle 0 of
+    # each far_off period lies so far from the previous cloud that its
+    # backward weights overflow: the earliest failure, forward or backward,
+    # must be the one reported, though exact's sweep runs backwards.
     real = sm.forward_pass
 
     def failing(*args, **kwargs):
         for item in real(*args, **kwargs):
-            if item[0] == 3:
+            if item[0] == 3 and forward_fails:
                 raise d.FilterDegeneracyError(period=3)
-            if item[0] == 2 and far_off:
+            if item[0] in far_off:
                 item[1][0] = 1e200
             yield item
 
@@ -376,3 +454,39 @@ def test_categorical_estep_memory_is_bounded(backward):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+BLAS_THREADS_SCRIPT = """
+import numpy as np
+import disrates as d
+from conftest import termination_setup
+
+gen = np.random.default_rng(5)
+logw = np.log(gen.random((20, 20_000)))
+logw -= np.log(np.exp(logw).sum(axis=1, keepdims=True))
+out = [d.ess(d.ParticleCloud(np.zeros((20_000, 1)), row, period=1)) for row in logw]
+basis, cells = termination_setup()
+p = basis.p
+theta = d.LatentParams(mu=np.full(p, 0.05), chol=0.2 * np.eye(p), nu0=np.full(p, -2.0))
+panel, _ = d.generate(theta, basis, cells, 3000, 12, seed=5)
+for backward in ("categorical", "reject", "exact"):
+    stats = d.paris_smooth(panel, basis, theta, 1000, 2, seed=7, backward=backward)
+    out += [stats.s_mat, stats.s_vec, stats.e_mat, stats.e_vec]
+print(np.hstack([np.ravel(x) for x in out]).tobytes().hex())
+"""
+
+
+def test_ess_and_smoothed_stats_do_not_depend_on_blas_threads():
+    # BLAS reductions may split a sum across threads and so change its
+    # last bits; the filter ESS and the E-step statistics must not.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert runs[0] == runs[1]
