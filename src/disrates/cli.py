@@ -1,10 +1,12 @@
 """Command-line pipeline driver.
 
 One JSON config fully determines a run; the seed and a few paths can be
-overridden on the command line.  Every command writes its tables plus a
-manifest (seed, resolved config, config hash, package versions) from which
-the run can be reproduced exactly.  No command starts worker threads of
-its own; --threads is still accepted and has no effect.
+overridden on the command line.  Every command writes its tables, and then
+a manifest from which the run can be reproduced exactly: the command, the
+config as given with the seed in effect, its hash, the --theta0 path as
+given (null without it) and the versions of Python, numpy and disrates,
+the packages a command runs on.  No command starts worker threads of its
+own; --threads is still accepted and has no effect.
 """
 
 import argparse
@@ -16,7 +18,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import builtin, load_custom_basis
@@ -301,19 +302,19 @@ def _write(outdir, name, text):
     print(f"wrote {target}")
 
 
-def _write_manifest(outdir, command, seed, config):
+def _write_manifest(outdir, args, seed, config):
     resolved = dict(config)
     resolved["seed"] = seed
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "config": resolved,
         "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "theta0": args.theta0,
         "versions": {
             "disrates": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -326,8 +327,6 @@ def _cmd_validate(args, config, outdir, seed):
         f"panel OK: {panel.num_cells} cells x {panel.n} periods, "
         f"{int(panel.exposure.sum())} exposure, {int(panel.events.sum())} events"
     )
-    _write_manifest(outdir, "validate", seed, config)
-    return EXIT_OK
 
 
 def _cmd_baseline(args, config, outdir, seed):
@@ -336,8 +335,6 @@ def _cmd_baseline(args, config, outdir, seed):
     fit, theta0 = two_step_fit(panel, basis)
     _write(outdir, "yearly.csv", yearly_fit_to_csv(fit))
     _write(outdir, "theta0.json", theta_to_json(theta0))
-    _write_manifest(outdir, "baseline", seed, config)
-    return EXIT_OK
 
 
 def _cmd_fit(args, config, outdir, seed):
@@ -354,8 +351,6 @@ def _cmd_fit(args, config, outdir, seed):
     _write(outdir, "theta_hat.json", theta_to_json(trace.theta_final))
     output = bootstrap_filter(panel, basis, trace.theta_final, num, seed)
     _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
-    _write_manifest(outdir, "fit", seed, config)
-    return EXIT_OK
 
 
 def _cmd_filter(args, config, outdir, seed):
@@ -368,8 +363,6 @@ def _cmd_filter(args, config, outdir, seed):
     output = bootstrap_filter(panel, basis, theta, num, seed)
     print(f"log-likelihood estimate {output.loglik_estimate:.6f}")
     _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
-    _write_manifest(outdir, "filter", seed, config)
-    return EXIT_OK
 
 
 def _cmd_forecast(args, config, outdir, seed):
@@ -384,8 +377,6 @@ def _cmd_forecast(args, config, outdir, seed):
     paths = simulate_future(theta, output.clouds[-1], horizon, num_paths, seed)
     surface = rate_surface(paths, basis, panel.cells, quantiles)
     _write(outdir, "forecast.csv", forecast_to_csv(surface, panel.cells, quantiles))
-    _write_manifest(outdir, "forecast", seed, config)
-    return EXIT_OK
 
 
 def _cmd_synth(args, config, outdir, seed):
@@ -416,8 +407,6 @@ def _cmd_synth(args, config, outdir, seed):
             ",".join([str(t + 1)] + [repr(float(v)) for v in states[t]])
         )
     _write(outdir, "true_path.csv", "\n".join(lines) + "\n")
-    _write_manifest(outdir, "synth", seed, config)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -444,7 +433,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](args, config, outdir, seed)
+        _COMMANDS[args.command](args, config, outdir, seed)
+        _write_manifest(outdir, args, seed, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -457,6 +447,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import rng
 from .errors import MStepNotPositiveDefinite, PDRepairError
@@ -102,8 +101,7 @@ def q_value(theta, stats):
     require_valid(theta)
     c = _centered_c(stats, theta.mu, theta.nu0)
     logdet = 2.0 * np.sum(np.log(np.diag(theta.chol)))
-    factor = (theta.chol, True)
-    trace = np.trace(cho_solve(factor, c.T))
+    trace = np.trace(np.linalg.solve(theta.chol.T, np.linalg.solve(theta.chol, c.T)))
     return -0.5 * stats.n * logdet - 0.5 * trace
 
 
@@ -139,8 +137,8 @@ def maximize_q_numeric(stats, start):
     Exists to cross-check mstep; log-parameterized diagonal keeps the
     Cholesky factor feasible without constraints.
     """
-    # Imported here, not at module level: scipy.optimize is about a third of
-    # the package's import time, and only this cross-check uses it.
+    # Imported here, not at module level: this cross-check is the package's
+    # only use of scipy, which would otherwise load with every command.
     from scipy.optimize import minimize
     p = start.p
 

@@ -126,25 +126,13 @@ def inverse_cdf(cdf, u):
     return out.reshape(u.shape)
 
 
-def _logsumexp(x):
-    """scipy.special.logsumexp of a 1-D float array, bit for bit, without
-    its per-call overhead.
-
-    The same steps as scipy 1.17: the maxima are taken out of the sum, which
-    is divided by their count, and the result is log1p(s) + log(count) +
-    max, or log(sum(exp(x))) where that is not finite (infinities, NaN).
-    """
-    top = x.max()
-    at_top = x == top
-    count = float(np.count_nonzero(at_top))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(at_top, -np.inf, x) - top).sum()
-        if s != 0:
-            s = s / count
-        out = np.log1p(s) + np.log(count) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(x).sum())
-    return out
+def logsumexp(x):
+    """log Σ exp(x) along the last axis, shifted by the maximum; not finite
+    where the entries hold NaN or +inf or are all −inf."""
+    top = x.max(axis=-1, keepdims=True)
+    # inf − inf where the maximum is ±inf; x − top may overflow to −inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.log(np.exp(x - top).sum(axis=-1)) + top[..., 0]
 
 
 def forward_pass(slices, theta, num_particles, seed, *, path=()):
@@ -176,7 +164,7 @@ def forward_pass(slices, theta, num_particles, seed, *, path=()):
             noise = pgen.standard_normal(shape)
             particles = step(theta, particles[ancestors], noise)
         logw = loglik_many(particles, slices[t - 1])
-        norm = _logsumexp(logw)
+        norm = logsumexp(logw)
         if not np.isfinite(norm):
             raise FilterDegeneracyError(period=t)
         loglik_total += norm - np.log(num_particles)

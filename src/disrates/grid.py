@@ -13,10 +13,9 @@ where a dense grid is trustworthy.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .errors import GridCoverageError
+from .filtering import logsumexp
 from .latent import require_valid
 from .observation import loglik_many, make_slices
 from .smoothing import SmoothedStats
@@ -121,13 +120,13 @@ class GridResult:
 
 def _transition_table(theta, nodes):
     """Row-normalized discretized transition kernel, plus the ν₀ row."""
-    a = solve_triangular(theta.chol, (nodes - theta.mu).T, lower=True).T
-    b = solve_triangular(theta.chol, nodes.T, lower=True).T
+    a = np.linalg.solve(theta.chol, (nodes - theta.mu).T).T
+    b = np.linalg.solve(theta.chol, nodes.T).T
     qa = np.einsum("kp,kp->k", a, a)
     qb = np.einsum("kp,kp->k", b, b)
     logt = -(0.5) * (qb[:, None] + qa[None, :] - 2.0 * (b @ a.T))
-    logt -= logsumexp(logt, axis=1, keepdims=True)
-    b0 = solve_triangular(theta.chol, theta.nu0, lower=True)
+    logt -= logsumexp(logt)[:, None]
+    b0 = np.linalg.solve(theta.chol, theta.nu0)
     log0 = -0.5 * (b0 @ b0 + qa - 2.0 * (b0 @ a.T))
     log0 -= logsumexp(log0)
     return np.exp(logt), np.exp(log0)

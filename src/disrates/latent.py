@@ -10,7 +10,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -84,7 +83,7 @@ def transition_logdensity(theta, nu_prev, nu_next):
 
 def step_logdensity(theta, deltas):
     """Log-density of increment rows `deltas` (M, p); returns (M,)."""
-    z = solve_triangular(theta.chol, (deltas - theta.mu).T, lower=True)
+    z = np.linalg.solve(theta.chol, (deltas - theta.mu).T)
     halflogdet = np.sum(np.log(np.diag(theta.chol)))
     return -0.5 * np.sum(z * z, axis=0) - halflogdet - 0.5 * theta.p * _LOG_2PI
 

@@ -33,7 +33,6 @@ O(N²) time and O(block·N) memory; it is intended for cross-checks.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import rng
 from .errors import FilterDegeneracyError
@@ -71,8 +70,8 @@ def _whitened(theta, prev_particles, particles):
     With a = A⁻¹(z_t − μ) and b = A⁻¹ z_{t−1}, the transition exponent for
     the pair (j, i) is −½‖a_i − b_j‖².
     """
-    a = solve_triangular(theta.chol, (particles - theta.mu).T, lower=True).T
-    b = solve_triangular(theta.chol, prev_particles.T, lower=True).T
+    a = np.linalg.solve(theta.chol, (particles - theta.mu).T).T
+    b = np.linalg.solve(theta.chol, prev_particles.T).T
     return a, b
 
 
@@ -175,10 +174,11 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
     idx[:, :, 0] = ancestors[1:]
     # Whitened clouds, one row per component (1-D gathers are the fast
     # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
-    white = np.ascontiguousarray(solve_triangular(
-        theta.chol, particles.reshape(-1, p).T, lower=True, check_finite=False
-    ))
-    shift = solve_triangular(theta.chol, theta.mu, lower=True)
+    # One product with the inverse factor takes a fraction of the time of a
+    # solve with the factor over these n·N columns.
+    inverse = np.linalg.inv(theta.chol)
+    white = inverse @ particles.reshape(-1, p).T
+    shift = inverse @ theta.mu
     cdf = pinned_cdf(np.exp(log_weights[:-1]))
     drawn = np.full((n - 1) * num * per_row, -1, dtype=np.int32)
     alive = np.arange(drawn.size)
