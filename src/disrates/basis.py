@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PanelValidationError
 from .panel import Cell, StudyKind, read_text
 
 RANK_TOLERANCE = 1e-10
@@ -122,11 +123,11 @@ def _table_key(cell):
     return (cell.age, round(float(cell.duration), 9))
 
 
-def custom_basis(cells, design, age_range=None):
+def custom_basis(cells, design):
     """Tabulated basis: one design vector per cell.
 
-    `design` is a (len(cells), p) array.  Ages outside `age_range` (default:
-    the span of the tabulated cells) are rejected at evaluation time.
+    `design` is a (len(cells), p) array.  Ages outside the span of the
+    tabulated cells are rejected at evaluation time.
     """
     design = np.asarray(design, dtype=float)
     cells = tuple(cells)
@@ -138,10 +139,8 @@ def custom_basis(cells, design, age_range=None):
     if len(table) != len(cells):
         raise ValueError("duplicate cells in custom basis table")
     ages = [c.age for c in cells]
-    if age_range is None:
-        age_range = (min(ages), max(ages))
     return BasisSet(
-        kind="custom", p=design.shape[1], age_range=age_range, table=table
+        kind="custom", p=design.shape[1], age_range=(min(ages), max(ages)), table=table
     )
 
 
@@ -185,10 +184,11 @@ def load_custom_basis(source, kind):
 
 
 def eval_design(basis, cell):
-    """Design vector of one cell under the basis; length basis.p."""
+    """Design vector of one cell under the basis, length basis.p; a cell the
+    basis cannot evaluate raises PanelValidationError."""
     lo, hi = basis.age_range
     if not lo <= cell.age <= hi:
-        raise ValueError(
+        raise PanelValidationError(
             f"age {cell.age} outside basis age range [{lo:g}, {hi:g}]"
         )
     if basis.table is not None:
@@ -196,15 +196,17 @@ def eval_design(basis, cell):
         try:
             return basis.table[key].copy()
         except KeyError:
-            raise ValueError(f"cell {cell.label} not in custom basis table") from None
+            raise PanelValidationError(
+                f"cell {cell.label} not in custom basis table"
+            ) from None
     if basis.kind == "tensor":
         if cell.kind is not StudyKind.TERMINATION:
-            raise ValueError("tensor basis requires termination cells")
+            raise PanelValidationError("tensor basis requires termination cells")
         phi = np.array([f(float(cell.age)) for f in basis.age_parts])
         psi = np.array([g(float(cell.duration)) for g in basis.dur_parts])
         return np.outer(phi, psi).ravel()
     if cell.kind is not StudyKind.INCEPTION:
-        raise ValueError(f"{basis.kind} basis requires inception cells")
+        raise PanelValidationError(f"{basis.kind} basis requires inception cells")
     return np.array([f(float(cell.age)) for f in basis.age_parts])
 
 

@@ -114,12 +114,9 @@ def pinned_cdf(weights):
 def inverse_cdf(cdf, u):
     """Index k for each uniform in u, where cdf[k-1] <= u < cdf[k].
 
-    An array of uniforms is searched in sorted order, which lets each search
+    The array of uniforms is searched in sorted order, which lets each search
     start from the last one's result, and the indices are scattered back.
     """
-    u = np.asarray(u)
-    if u.ndim == 0:
-        return np.searchsorted(cdf, u, side="right")
     order = np.argsort(u, axis=None)
     out = np.empty(u.size, dtype=np.intp)
     out[order] = np.searchsorted(cdf, u.ravel()[order], side="right")

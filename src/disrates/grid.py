@@ -212,11 +212,11 @@ def exact_forward_backward(panel, basis, theta, grid):
     )
 
 
-def check_unimodal(density, noise_floor=1e-12):
+def check_unimodal(density):
     """True iff the sequence rises to a single peak then falls.
 
-    Wiggles no larger than the noise floor are ignored, so discretization
-    dust does not flag a false mode.
+    Wiggles no larger than 1e-12 are ignored, so discretization dust does
+    not flag a false mode.
     """
     d = np.asarray(density, dtype=float)
     if d.ndim != 1 or d.size == 0:
@@ -224,4 +224,4 @@ def check_unimodal(density, noise_floor=1e-12):
     peak = int(np.argmax(d))
     rising = np.diff(d[: peak + 1])
     falling = np.diff(d[peak:])
-    return bool(np.all(rising >= -noise_floor) and np.all(falling <= noise_floor))
+    return bool(np.all(rising >= -1e-12) and np.all(falling <= 1e-12))

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_rank, design_matrix
+from .errors import PanelValidationError
 
 # softplus switches to its asymptotes outside +-30 to stay finite for the
 # extreme logits particles can reach early in EM.
@@ -37,11 +38,11 @@ class PeriodSlice:
 def make_slices(panel, basis):
     """Join a panel with a basis into one PeriodSlice per period.
 
-    Raises ValueError when the design matrix over the panel's cells does not
-    have full column rank, since no period then identifies the state.
+    Raises PanelValidationError when the design matrix over the panel's cells
+    does not have full column rank, since no period then identifies the state.
     """
     if not check_rank(basis, panel.cells):
-        raise ValueError("design matrix is rank deficient over the panel cells")
+        raise PanelValidationError("design matrix is rank deficient over the panel cells")
     design = design_matrix(basis, panel.cells)
     return [
         PeriodSlice(design, panel.exposure[:, t], panel.events[:, t])

@@ -164,7 +164,7 @@ def _parse_count(text, column, line):
 def load_panel(source, schema):
     """Load a CellPanel from CSV.
 
-    `source` may be a path, text, bytes, or a file object.  `schema` selects
+    `source` may be a path, CSV text, or a text file object.  `schema` selects
     the inception or termination column layout (see module constants).
     """
     schema = StudyKind(schema)
@@ -270,12 +270,9 @@ def serialize_panel(panel):
 
 
 def read_text(source):
-    """The text of `source`: a path, CSV text, bytes, or a file object."""
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
+    """The text of `source`: a path, CSV text, or a text file object."""
     if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return source.read()
     source = str(source)
     # Strings with a newline are CSV content; anything else is a path.
     if "\n" in source:

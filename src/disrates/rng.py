@@ -25,7 +25,9 @@ REPLICATE = 8
 def substream(seed, *path):
     """Return a fresh Generator for the (seed, *path) substream.
 
-    `seed` and every path element must be nonnegative integers.
+    `seed` and every path element must be nonnegative integers.  SeedSequence
+    pads keys shorter than four words with zeros, so (7, 3) and (7, 3, 0)
+    give the same stream: keys in use must differ by more than trailing zeros.
     """
     entropy = (int(seed),) + tuple(int(x) for x in path)
     if any(x < 0 for x in entropy):

