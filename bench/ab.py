@@ -17,8 +17,11 @@ the repository: the environment, both sides' identities, every pair's
 end-to-end metrics, and per metric each side's median and quartiles, the
 median of the change/base ratios, the number of pairs the change won
 (lower is better for every end-to-end metric; ties count for neither side),
-and whether that shows a gain: the change won at least nine tenths of the
-pairs and the medians differ by more than the base's interquartile range.
+whether that shows a gain: the change won at least nine tenths of the
+pairs and the medians differ by more than the base's interquartile range,
+and the no-regression verdict: the metric's bound from BENCHMARK.json's
+`end_to_end` list, and whether the change's median is within it, at most
+the base median times (1 + bound).
 
 With --acceptance, each copy also runs its own `tests/test_acceptance.py`
 once (base first), limited to the listed criteria if any are given, and the
@@ -49,6 +52,9 @@ METRICS = ("setup_s", "op_s", "peak_rss_mb")
 CODE_DIRS = ("src", "perfbench")
 # closed-loop run length of every perfbench run, as BENCHMARK.json's run_seconds
 SECONDS = 25
+# the largest relative regression of each end-to-end metric the benchmark allows
+BOUNDS = {metric["name"]: metric["bound"] for metric in json.loads(
+    (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
 
 def parse_pairs(text):
@@ -213,8 +219,8 @@ def gain_shown(base, change, change_wins, pairs):
 
 
 def summarise(pairs):
-    """Per metric: each side's spread, the median change/base ratio, the wins
-    and whether they show a gain."""
+    """Per metric: each side's spread, the median change/base ratio, the wins,
+    whether they show a gain, and whether the change is within the bound."""
     summary = {}
     for name in METRICS:
         base = [p["base"][name] for p in pairs]
@@ -229,6 +235,9 @@ def summarise(pairs):
         }
         entry["gain_shown"] = gain_shown(entry["base"], entry["change"],
                                          entry["change_wins"], entry["pairs"])
+        entry["bound"] = BOUNDS[name]
+        entry["within_bound"] = (entry["change"]["median"]
+                                 <= entry["base"]["median"] * (1 + BOUNDS[name]))
         summary[name] = entry
     return summary
 
@@ -300,7 +309,8 @@ def main(argv=None):
             log(f"{workload} {name}: base {s['base']['median']:.4g} -> change "
                 f"{s['change']['median']:.4g} (ratio {s['median_ratio']:.3f}, "
                 f"change won {s['change_wins']}/{s['pairs']}, "
-                f"gain shown: {'yes' if s['gain_shown'] else 'no'})")
+                f"gain shown: {'yes' if s['gain_shown'] else 'no'}, "
+                f"within the {s['bound']:.0%} bound: {'yes' if s['within_bound'] else 'no'})")
     print(f"wrote {target}")
     return 0
 

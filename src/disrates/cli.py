@@ -34,7 +34,7 @@ from .errors import (
 from .filtering import bootstrap_filter, filter_to_csv, quantile_labels
 from .forecasting import forecast_to_csv, rate_surface, simulate_future
 from .latent import load_theta, require_valid, theta_from_dict, theta_to_json
-from .panel import Cell, StudyKind, load_panel, serialize_panel
+from .panel import Cell, StudyKind, csv_text, load_panel, serialize_panel
 from .synthetic import generate
 from .twostep import two_step_fit, yearly_fit_to_csv
 
@@ -401,12 +401,9 @@ def _cmd_synth(args, config, outdir, seed):
     except ValueError as exc:
         raise ConfigError(f"bad synth config: {exc}") from exc
     _write(outdir, "panel.csv", serialize_panel(panel))
-    lines = ["period," + ",".join(f"nu_{i + 1}" for i in range(theta.p))]
-    for t in range(n):
-        lines.append(
-            ",".join([str(t + 1)] + [repr(float(v)) for v in states[t]])
-        )
-    _write(outdir, "true_path.csv", "\n".join(lines) + "\n")
+    header = ["period"] + [f"nu_{i + 1}" for i in range(theta.p)]
+    rows = [[t + 1] + [repr(float(v)) for v in states[t]] for t in range(n)]
+    _write(outdir, "true_path.csv", csv_text(header, rows))
 
 
 _COMMANDS = {
@@ -426,10 +423,7 @@ def main(argv=None):
         seed = _seed(args, config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

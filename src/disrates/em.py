@@ -11,8 +11,6 @@ test: the intermediate quantity is noisy, so the loop runs a fixed budget
 and the estimate is the average over a trailing window.
 """
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +19,7 @@ from . import rng
 from .errors import MStepNotPositiveDefinite, PDRepairError
 from .latent import LatentParams, require_valid
 from .observation import make_slices
+from .panel import csv_text
 from .smoothing import check_settings, smooth_slices
 
 DIAG_FLOOR = 1e-8
@@ -220,9 +219,7 @@ def _repair(slices, theta, stats, config, seed, iteration):
 
 def trace_to_csv(trace):
     """Long-format trace: iter,q_value,param_name,value,repair."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["iter", "q_value", "param_name", "value", "repair"])
+    rows = []
     for k, (theta, q, repair) in enumerate(
         zip(trace.thetas, trace.q_values, trace.repairs), start=1
     ):
@@ -236,5 +233,5 @@ def trace_to_csv(trace):
         for i in range(p):
             names_values.append((f"nu0_{i + 1}", theta.nu0[i]))
         for name, value in names_values:
-            writer.writerow([k, repr(float(q)), name, repr(float(value)), repair])
-    return out.getvalue()
+            rows.append([k, repr(float(q)), name, repr(float(value)), repair])
+    return csv_text(["iter", "q_value", "param_name", "value", "repair"], rows)

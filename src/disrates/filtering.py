@@ -8,8 +8,6 @@ substreams keyed by (seed, stream tag, period), so a run is reproducible
 bit-for-bit whatever the worker count.
 """
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +16,7 @@ from . import rng
 from .errors import FilterDegeneracyError
 from .latent import require_valid, step
 from .observation import loglik_many, make_slices
+from .panel import csv_text
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,7 @@ def bootstrap_filter(panel, basis, theta, num_particles, seed, *, path=()):
 def filter_to_csv(output, probs=(0.05, 0.5, 0.95)):
     """Long-format per-period summary: mean, quantiles and ESS."""
     labels = quantile_labels(probs)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["period", "component", "mean"] + labels + ["ess"])
+    rows = []
     for cloud, size in zip(output.clouds, output.ess):
         mean = filter_mean(cloud)
         quants = filter_quantiles(cloud, probs)
@@ -206,5 +203,5 @@ def filter_to_csv(output, probs=(0.05, 0.5, 0.95)):
             row = [cloud.period, i + 1, repr(float(mean[i]))]
             row += [repr(float(q)) for q in quants[:, i]]
             row.append(repr(float(size)))
-            writer.writerow(row)
-    return out.getvalue()
+            rows.append(row)
+    return csv_text(["period", "component", "mean"] + labels + ["ess"], rows)

@@ -13,9 +13,6 @@ horizon's predictor is one BLAS product into that buffer, and the fan's
 ranks are picked by partitioning its rows in place, not by sorting them.
 """
 
-import csv
-import io
-
 import numpy as np
 
 from . import rng
@@ -28,6 +25,7 @@ from .filtering import (
 )
 from .latent import require_valid, step
 from .observation import logistic
+from .panel import csv_text
 
 
 def simulate_future(theta, terminal, horizon, num_paths, seed):
@@ -102,14 +100,10 @@ def _select_ranks(rows, kth):
 def forecast_to_csv(surface, cells, probs):
     """Long-format export: horizon,cell_id,prob,quantile_level,value."""
     labels = quantile_labels(probs)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["horizon", "cell_id", "prob", "quantile_level", "value"])
+    rows = []
     for c, cell in enumerate(cells):
         for h in range(surface.shape[1]):
             for q, (prob, label) in enumerate(zip(probs, labels)):
-                writer.writerow(
-                    [h + 1, cell.label, repr(float(prob)), label,
-                     repr(float(surface[c, h, q]))]
-                )
-    return out.getvalue()
+                rows.append([h + 1, cell.label, repr(float(prob)), label,
+                             repr(float(surface[c, h, q]))])
+    return csv_text(["horizon", "cell_id", "prob", "quantile_level", "value"], rows)

@@ -2,7 +2,9 @@
 
 Inception studies index cells by age; termination studies by age and
 disability duration.  Both are carried by one Cell type so the model layers
-downstream never branch on the study kind.
+downstream never branch on the study kind.  The module also holds the CSV
+I/O the package shares: `read_text` for the panel and basis tables, and
+`csv_text`, the one writer of every output table.
 """
 
 import csv
@@ -243,29 +245,23 @@ def load_panel(source, schema):
 
 def serialize_panel(panel):
     """Render a panel back to its CSV schema (cells sorted, periods 1..n)."""
+    inception = panel.kind is StudyKind.INCEPTION
+    rows = []
+    for t in range(panel.n):
+        for i, cell in enumerate(panel.cells):
+            durations = [] if inception else [
+                repr(float(cell.duration)), repr(float(cell.duration_width))]
+            rows.append([t + 1, cell.age, *durations,
+                         panel.exposure[i, t], panel.events[i, t]])
+    return csv_text(INCEPTION_COLUMNS if inception else TERMINATION_COLUMNS, rows)
+
+
+def csv_text(header, rows):
+    """The CSV text of one header row and then `rows`, lines ending in "\\n"."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if panel.kind is StudyKind.INCEPTION:
-        writer.writerow(INCEPTION_COLUMNS)
-        for t in range(panel.n):
-            for i, cell in enumerate(panel.cells):
-                writer.writerow(
-                    [t + 1, cell.age, panel.exposure[i, t], panel.events[i, t]]
-                )
-    else:
-        writer.writerow(TERMINATION_COLUMNS)
-        for t in range(panel.n):
-            for i, cell in enumerate(panel.cells):
-                writer.writerow(
-                    [
-                        t + 1,
-                        cell.age,
-                        repr(float(cell.duration)),
-                        repr(float(cell.duration_width)),
-                        panel.exposure[i, t],
-                        panel.events[i, t],
-                    ]
-                )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 

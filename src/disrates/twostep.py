@@ -8,8 +8,6 @@ increment before the first fit.  Supplies the EM start point and the
 comparison target for the volatility-shrinkage analysis.
 """
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +16,7 @@ import numpy as np
 from .errors import PanelValidationError
 from .latent import LatentParams
 from .observation import loglik, loglik_grad_hess, make_slices
+from .panel import csv_text
 
 GRAD_TOL = 1e-8
 MAX_NEWTON_ITERS = 100
@@ -131,12 +130,10 @@ def two_step_fit(panel, basis):
 
 def yearly_fit_to_csv(fit):
     """Long-format export: period,component,value,converged."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["period", "component", "value", "converged"])
+    rows = []
     for t in range(fit.n):
         for i in range(fit.nu_hat.shape[1]):
-            writer.writerow(
+            rows.append(
                 [t + 1, i + 1, repr(float(fit.nu_hat[t, i])), int(fit.converged[t])]
             )
-    return out.getvalue()
+    return csv_text(["period", "component", "value", "converged"], rows)

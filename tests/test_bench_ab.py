@@ -88,6 +88,23 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
     assert shown["setup_s"]["gain_shown"] is False  # ties win nothing
 
 
+def test_within_bound_compares_the_medians_against_benchmark_json():
+    bounds = {m["name"]: m["bound"] for m in json.loads(
+        (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["end_to_end"]}
+    base = [2.0, 2.2, 2.4]  # median 2.2; op_s may reach 2.2 * (1 + bound)
+    limit = 2.2 * (1 + bounds["op_s"])
+    within = summary_of(base, [limit - 0.01, limit, 9.0])
+    assert within["op_s"]["bound"] == bounds["op_s"]
+    assert within["op_s"]["within_bound"] is True
+    assert within["op_s"]["base_wins"] == 3 and within["op_s"]["gain_shown"] is False
+    beyond = summary_of(base, [1.0, limit + 0.01, limit + 0.01])
+    assert beyond["op_s"]["within_bound"] is False
+    assert beyond["op_s"]["change_wins"] == 1
+    for name, entry in beyond.items():
+        assert entry["bound"] == bounds[name]
+    assert beyond["peak_rss_mb"]["within_bound"] is True  # equal medians
+
+
 def git(repo, *args):
     subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
                     *args], check=True, capture_output=True)

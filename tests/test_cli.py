@@ -51,13 +51,15 @@ def write_theta(tmp_path, theta=None):
 
 
 def base_config(tmp_path, **extra):
+    """A config on the toy panel, unless `extra` names a panel of its own."""
     body = {
-        "panel": write_panel(tmp_path),
         "study": "inception",
         "seed": 42,
         "basis": {"kind": "custom", "table": write_basis_table(tmp_path)},
     }
     body.update(extra)
+    if "panel" not in body:
+        body["panel"] = write_panel(tmp_path)
     return body
 
 
@@ -74,6 +76,13 @@ def test_validate_ok_and_manifest(tmp_path, capsys):
     assert manifest["theta0"] is None
     assert "timestamp" not in manifest
     assert manifest["config"]["seed"] == 42
+
+
+def test_base_config_keeps_a_panel_it_is_given(tmp_path, capsys):
+    other = panel_with((30, 40), 5)
+    config = write_config(tmp_path, **base_config(tmp_path, panel=write_panel(tmp_path, other)))
+    assert main(["validate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert "panel OK: 2 cells x 5 periods" in capsys.readouterr().out
 
 
 def test_seed_override_wins(tmp_path):
@@ -156,8 +165,7 @@ DATA_ERRORS = {
 
 @pytest.mark.parametrize("basis,panel,message", DATA_ERRORS.values(), ids=DATA_ERRORS)
 def test_panel_the_model_cannot_fit_exits_3(tmp_path, capsys, basis, panel, message):
-    body = base_config(tmp_path, study=panel.kind.value)
-    body["panel"] = write_panel(tmp_path, panel)  # over base_config's toy panel
+    body = base_config(tmp_path, study=panel.kind.value, panel=write_panel(tmp_path, panel))
     if basis is not None:
         body["basis"] = basis
     config = write_config(tmp_path, **body)
@@ -296,6 +304,35 @@ def test_thread_count_never_changes_outputs(tmp_path):
         a, b = out1 / name, out4 / name
         if a.exists() or b.exists():
             assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_blas_thread_count_never_changes_outputs(tmp_path):
+    # Criterion 9 varies --threads, which no command acts on; this varies the
+    # BLAS pool, in fresh processes because OpenBLAS reads it once at load.
+    body = base_config(
+        tmp_path, panel=write_panel(tmp_path, panel_with((30, 40, 50), 6)), basis=LINEAR2,
+        em={"num_particles": 300, "max_iters": 2, "tail_window": 1},
+        filter={"num_particles": 20_000},
+        forecast={"horizon": 3, "num_paths": 20_000},
+    )
+    config = write_config(tmp_path, **body)
+    theta = write_theta(tmp_path, d.LatentParams(
+        mu=[0.01, -0.02], chol=[[0.1, 0.0], [0.02, 0.1]], nu0=[-3.0, 0.2]))
+    src = str(Path(__file__).parents[1] / "src")
+    for blas in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": blas}
+        for command in ("fit", "filter", "forecast"):
+            argv = ["--config", config, "--out", str(tmp_path / f"blas{blas}" / command)]
+            if command != "fit":
+                argv += ["--theta0", theta]
+            subprocess.run([sys.executable, "-m", "disrates.cli", command, *argv],
+                           capture_output=True, check=True, env=env)
+    one, two = tmp_path / "blas1", tmp_path / "blas2"
+    names = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert len(names) == 4 + 2 + 2  # fit's three outputs, one each for the others, manifests
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 def test_console_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disrates as d
 
@@ -42,6 +44,35 @@ def test_round_trip_preserves_panel():
         panel = d.load_panel(text, kind)
         again = d.load_panel(d.serialize_panel(panel), kind)
         assert panel == again
+
+
+@st.composite
+def panels(draw):
+    """Panels of either kind: sorted cells, 2-6 periods, events <= exposure,
+    and for termination cells any float duration and width (0.1, 1/3, ...)."""
+    kind = draw(st.sampled_from(d.StudyKind))
+    ages = st.integers(0, 120)
+    if kind is d.StudyKind.INCEPTION:
+        cell = st.builds(d.Cell, st.just(kind), ages)
+    else:
+        cell = st.builds(d.Cell, st.just(kind), ages,
+                         st.floats(0.0, 50.0), st.floats(1e-6, 10.0))
+    cells = sorted(draw(st.lists(cell, min_size=1, max_size=5, unique=True)))
+    n = draw(st.integers(2, 6))
+    exposure = draw(st.lists(st.integers(0, 10**6), min_size=len(cells) * n,
+                             max_size=len(cells) * n))
+    events = [draw(st.integers(0, e)) for e in exposure]
+    shape = (len(cells), n)
+    return d.CellPanel(cells, np.reshape(exposure, shape), np.reshape(events, shape))
+
+
+@settings(deadline=None)
+@given(panels())
+def test_serialized_panels_load_back_and_serialize_the_same(panel):
+    text = d.serialize_panel(panel)
+    again = d.load_panel(text, panel.kind)
+    assert again == panel
+    assert d.serialize_panel(again) == text
 
 
 def test_missing_cell_period_is_zero_filled():
