@@ -9,8 +9,10 @@ builds the workload's inputs with perfbench's `workloads.WORKLOADS`, runs its
 with BLAS pinned to one thread as `perfbench/run.py` pins it, and prints one
 line: the lowest fitted/generating step-sd ratio, the sha256 of
 `fit/theta_hat.json` (equal hashes mean equal estimates, so two commits can
-be compared seed by seed) and the problems `Workload.check` found.  The last
-line names the lowest ratio of the sweep.  Exits 1 if any check fails.
+be compared seed by seed) and the problems `Workload.check` found.  The next
+line names the lowest ratio of the sweep.  When any check fails, a last line
+lists the failing fits as `workload seed` pairs, so that two commits' failure
+sets compare directly, and the sweep exits 1.
 
 Run it for any change to `fit`'s draws or statistics; the checks accept step-sd
 ratios in perfbench's `checks.SD_RATIO_RANGE`.
@@ -88,12 +90,13 @@ def main(argv=None):
     import disrates
 
     checkout.check_imported_from_checkout(disrates)
-    failed, lowest = 0, None
+    failed, lowest = [], None
     for name in args.workloads:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory(prefix="sweep-", dir=args.workdir) as tmp:
                 problems, ratio, digest = fit_once(name, seed, Path(tmp))
-            failed += bool(problems)
+            if problems:
+                failed.append(f"{name} {seed}")
             if ratio is not None and (lowest is None or ratio < lowest[0]):
                 lowest = (ratio, name, seed)
             shown = "n/a" if ratio is None else f"{ratio:.3f}"
@@ -103,7 +106,9 @@ def main(argv=None):
     runs = len(args.workloads) * len(args.seeds)
     if lowest is not None:
         print(f"lowest sd ratio {lowest[0]:.3f} ({lowest[1]} seed {lowest[2]}); "
-              f"{failed} of {runs} fits failed a check")
+              f"{len(failed)} of {runs} fits failed a check")
+    if failed:
+        print(f"failed: {', '.join(failed)}")
     return 1 if failed else 0
 
 

@@ -149,7 +149,8 @@ def load_custom_basis(source, kind):
 
     `source` is anything panel.read_text accepts; termination tables, and
     only they, carry the duration column.  A wrong header, a field that is
-    not a number or a row of the wrong width raises ValueError naming its line.
+    not a finite number or a row of the wrong width raises ValueError naming
+    its line.
     """
     kind = StudyKind(kind)
     keys = ("age",) if kind is StudyKind.INCEPTION else ("age", "duration")
@@ -175,7 +176,10 @@ def load_custom_basis(source, kind):
                 # Width is irrelevant to basis evaluation; lookups key on the
                 # bucket start only.
                 cells.append(Cell(StudyKind.TERMINATION, age, float(row[1]), 1.0))
-            rows.append([float(v) for v in row[len(keys):]])
+            values = [float(v) for v in row[len(keys):]]
+            if not np.isfinite(values).all():
+                raise ValueError("basis values must be finite")
+            rows.append(values)
         except ValueError as exc:
             raise ValueError(f"custom basis line {line}: {exc}") from None
     if not rows:

@@ -54,10 +54,10 @@ class Cell:
                 raise ValueError(
                     "termination cells require duration and duration_width"
                 )
-            if self.duration < 0:
-                raise ValueError("duration must be nonnegative")
-            if self.duration_width <= 0:
-                raise ValueError("duration_width must be positive")
+            if not 0 <= self.duration < np.inf:  # also false for NaN
+                raise ValueError("duration must be finite and nonnegative")
+            if not 0 < self.duration_width < np.inf:
+                raise ValueError("duration_width must be finite and positive")
 
     @property
     def label(self):

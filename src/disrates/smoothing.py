@@ -11,21 +11,22 @@ cloud weighted by ω gives the first-period moments (the E blocks).  On the
 same draws this is the PaRIS estimator (Olsson & Westerborn 2017).
 
 Backward indices are drawn either by direct categorical sampling or by an
-accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) that proposes
-from the filter weights and accepts with the transition-density ratio; both
-target exactly the same distribution.  Categorical sampling is the O(N²)
-reference and the default of paris_smooth and smooth_slices: every particle
-weighs the whole previous cloud, costing O(N²) time per period but only
-O(block·N) memory, since the N x N weight table is built and consumed a
-block of rows at a time.  Accept-reject, the default of EM fits
-(EMConfig.backward), takes one of each particle's Ñ draws from the
-particle's resampling ancestor, which multinomial resampling makes an exact
-draw from the backward kernel, independent of the other draws given the
-clouds (Olsson & Westerborn 2017).  It draws the other Ñ − 1 of all periods
-at once: its rounds run over the undecided draws of every period together,
-at O(N·Ñ) per round, and rows that keep rejecting after _REJECT_MAX_ROUNDS
-rounds fall back to the categorical kernel, so its cost depends on how far
-the clouds are apart.  A third mode, exact, draws nothing: the sweep
+accept-reject scheme (Douc, Garivier, Moulines & Olsson 2011) completed by
+independent Metropolis-Hastings (Dau & Chopin 2023); both target exactly the
+same distribution.  Categorical sampling is the O(N²) reference and the
+default of paris_smooth and smooth_slices: every particle weighs the whole
+previous cloud, costing O(N²) time per period but only O(block·N) memory,
+since the N x N weight table is built and consumed a block of rows at a
+time.  Reject, the default of EM fits (EMConfig.backward), takes one of each
+particle's Ñ draws from the particle's resampling ancestor, which
+multinomial resampling makes an exact draw from the backward kernel,
+independent of the other draws given the clouds (Olsson & Westerborn 2017).
+It draws the other Ñ − 1 of all periods at once: a fixed number of
+accept-reject rounds run over the undecided draws of every period together,
+then each draw still undecided takes a fixed number of Metropolis-Hastings
+steps that start at the ancestor and propose from the filter weights.  Each
+round and step costs O(1) per draw, so the kernel is linear in N·Ñ however
+far apart the clouds lie.  A third mode, exact, draws nothing: the sweep
 carries ω through the whole backward kernel, walking the same row blocks at
 O(N²) time and O(block·N) memory; it is intended for cross-checks.
 All three modes read their transition pairs from one whitening per E step,
@@ -42,7 +43,10 @@ from .filtering import forward_pass, pinned_cdf
 from .observation import make_slices
 
 BACKWARD_METHODS = ("categorical", "reject", "exact")
-_REJECT_MAX_ROUNDS = 75
+# Accept-reject rounds of the reject kernel, then independent
+# Metropolis-Hastings steps for each draw they leave undecided.
+_REJECT_ROUNDS = 10
+_IMH_STEPS = 4
 # Bytes per block buffer of the backward-weight walk: small enough to stay
 # in cache, and it bounds the walk's memory at O(N) whatever N is.
 _BLOCK_BYTES = 1 << 20
@@ -100,7 +104,7 @@ def _count_at_most(cum, u, rows):
     return pos
 
 
-def _backward_blocks(prev_logw, a, b, period, ids=None):
+def _backward_blocks(prev_logw, a, b, period):
     """Each row's backward weights over the previous cloud, a block of rows at a time.
 
     Row i's log-weights logb are prev_logw − ½‖a_i − b_j‖² up to a constant.
@@ -109,7 +113,7 @@ def _backward_blocks(prev_logw, a, b, period, ids=None):
     operations in the same order as the full table, so the weights do not
     depend on the block size.  Yields (start, stop, weights, spare): weights
     holds exp(logb − rowmax) for rows start..stop−1, spare is scratch of the
-    same shape.  ids maps rows of a to the particle indices errors report.
+    same shape.
     """
     num, width = a.shape[0], b.shape[0]
     qa = np.einsum("ip,ip->i", a, a)
@@ -131,24 +135,36 @@ def _backward_blocks(prev_logw, a, b, period, ids=None):
         rowmax = y.max(axis=1)
         bad = np.flatnonzero(~np.isfinite(rowmax))
         if bad.size:
-            row = start + int(bad[0])
-            raise FilterDegeneracyError(
-                period=period, particle=int(row if ids is None else ids[row])
-            )
+            raise FilterDegeneracyError(period=period, particle=start + int(bad[0]))
         np.subtract(y, rowmax[:, None], out=y)
         np.exp(y, out=x)
         yield start, stop, x, y
 
 
-def _sample_backward_categorical(prev_logw, a, b, draws, period, ids=None):
+def _sample_backward_categorical(prev_logw, a, b, draws, period):
     """One backward index per (row of a, draw) from each row's categorical
     (see _backward_blocks); draws[i] holds row i's uniforms."""
     idx = np.empty(draws.shape, dtype=np.intp)
-    for start, stop, weights, cum in _backward_blocks(prev_logw, a, b, period, ids):
+    for start, stop, weights, cum in _backward_blocks(prev_logw, a, b, period):
         np.cumsum(weights, axis=1, out=cum)
         u = draws[start:stop] * cum[:, -1:]
         idx[start:stop] = _count_at_most(cum, u, np.arange(stop - start)[:, None])
     return np.minimum(idx, b.shape[0] - 1)
+
+
+def _quad(white, shift, target, previous):
+    """‖a_i − b_j‖² for each pair (target, previous) of flat particle indices
+    (t − 1)·N + particle into the whitened clouds white (p, n, N):
+    a_i = white[:, target] − shift and b_j = white[:, previous].  One
+    component at a time, since 1-D gathers are the fast ones."""
+    quad = np.zeros(target.size)
+    for comp, offset in zip(white, shift):
+        diff = comp.take(target)
+        diff -= offset
+        diff -= comp.take(previous)
+        diff *= diff
+        quad += diff
+    return quad
 
 
 def _sample_backward_reject(white, shift, log_weights, ancestors, num_backward,
@@ -159,12 +175,16 @@ def _sample_backward_reject(white, shift, log_weights, ancestors, num_backward,
     log_weights (n, N) their filter weights.
     Returns (n − 1, N, num_backward) int32 indices into each previous cloud.
     Draw 0 of each particle is its resampling ancestor from ancestors (n, N),
-    which multinomial resampling makes an exact backward draw; the rest are
-    drawn by accept-reject: propose from the previous filter weights and
-    accept with probability exp(−½‖a_i − b_j‖²), the transition density
-    over its global bound.  The rounds run over the undecided draws of every
-    period together, and rows still undecided after _REJECT_MAX_ROUNDS
-    rounds take the categorical kernel, period by period.
+    which multinomial resampling makes an exact backward draw.  The rest
+    first take _REJECT_ROUNDS accept-reject rounds over the undecided draws
+    of every period together: propose j from the previous filter weights and
+    accept with probability exp(−½‖a_i − b_j‖²), the transition density over
+    its global bound.  Each draw still undecided then takes _IMH_STEPS
+    independent Metropolis-Hastings steps that start at the ancestor: propose
+    k from the same weights and move there when u < exp(−½(q_k − q_j)), the
+    density ratio against the current state j.  The chain starts at an exact
+    draw and leaves the backward kernel invariant, so every draw stays exact,
+    at O(1) cost per draw however far apart the clouds lie.
     """
     n, num = log_weights.shape
     per_row = num_backward - 1
@@ -173,39 +193,37 @@ def _sample_backward_reject(white, shift, log_weights, ancestors, num_backward,
     cdf = pinned_cdf(np.exp(log_weights[:-1]))
     drawn = np.full((n - 1) * num * per_row, -1, dtype=np.int32)
     alive = np.arange(drawn.size)
-    for _ in range(_REJECT_MAX_ROUNDS):
+    for _ in range(_REJECT_ROUNDS):
         u = gen.random((2, alive.size))
         target = alive // per_row  # (period − 2)·N + particle
         row = target // num
         prop = _count_at_most(cdf, u[0], row)
         target += num
-        previous = row * num + prop
-        quad = np.zeros(alive.size)
-        # One component at a time, flat indices (1-D gathers are the fast
-        # ones): a_i − b_j = white[:, target] − shift − white[:, previous].
-        for comp, offset in zip(white, shift):
-            diff = comp.take(target)
-            diff -= offset
-            diff -= comp.take(previous)
-            diff *= diff
-            quad += diff
-        accept = u[1] < np.exp(-0.5 * quad)
+        accept = u[1] < np.exp(-0.5 * _quad(white, shift, target, row * num + prop))
         drawn[alive[accept]] = prop[accept]
         alive = alive[~accept]
         if alive.size == 0:
             break
-    drawn = drawn.reshape(n - 1, num, per_row)
-    targets = np.unique(alive // per_row)
-    for row in np.unique(targets // num):
-        rows = targets[targets // num == row] % num
-        a, b = _pair(white, shift, row + 2, rows)
-        draws = gen.random((rows.size, per_row))
-        exact = _sample_backward_categorical(
-            log_weights[row], a, b, draws, row + 2, ids=rows
-        )
-        kept = drawn[row, rows]
-        drawn[row, rows] = np.where(kept < 0, exact, kept)
-    idx[:, :, 1:] = drawn
+    if alive.size:
+        target = alive // per_row
+        row = target // num
+        state = ancestors[1:].ravel()[target]
+        target += num
+        quad = _quad(white, shift, target, row * num + state)
+        bad = np.flatnonzero(~np.isfinite(quad))
+        if bad.size:  # alive is sorted, so the first is the earliest
+            first = int(target[bad[0]])  # (period − 1)·N + particle
+            raise FilterDegeneracyError(period=first // num + 1, particle=first % num)
+        for _ in range(_IMH_STEPS):
+            u = gen.random((2, alive.size))
+            prop = _count_at_most(cdf, u[0], row)
+            proposed = _quad(white, shift, target, row * num + prop)
+            # u < 1, so capping the ratio at 1 changes no decision and keeps
+            # exp from overflowing.
+            accept = u[1] < np.exp(np.minimum(0.5 * (quad - proposed), 0.0))
+            state[accept], quad[accept] = prop[accept], proposed[accept]
+        drawn[alive] = state
+    idx[:, :, 1:] = drawn.reshape(n - 1, num, per_row)
     return idx
 
 

@@ -1,9 +1,16 @@
+import contextlib
 import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import disrates as d
+from disrates.cli import main
 
 
 def cell(age):
@@ -139,6 +146,8 @@ BAD_TABLES = {
     "text-duration": ("termination", "age,duration,phi_1\n30,soon,1.0\n", "line 2"),
     "negative-duration": ("termination", "age,duration,phi_1\n30,-1.0,1.0\n",
                           "line 2: duration"),
+    "nan-duration": ("termination", "age,duration,phi_1\n30,nan,1.0\n", "line 2: duration"),
+    "inf-phi": ("inception", "age,phi_1\n30,1.0\n31,-inf\n", "line 3: basis values"),
     "short-row": ("inception", "age,phi_1,phi_2\n30,1.0,0.5\n31,0.5\n",
                   "line 3: expected 3 fields"),
     "long-row": ("inception", "age,phi_1\n30,1.0,2.0\n", "line 2: expected 2 fields"),
@@ -156,3 +165,93 @@ def test_custom_basis_header_tolerates_spaces_and_blank_rows():
     text = "age, phi_1 ,phi_2\n\n30,1.0,0.25\n, ,\n31,0.5,0.5\n"
     basis = d.load_custom_basis(io.StringIO(text), "inception")
     np.testing.assert_allclose(d.eval_design(basis, cell(30)), [1.0, 0.25])
+
+
+@st.composite
+def basis_tables(draw):
+    """(kind, cells, design, rows) of a well-formed custom basis table: 1-6
+    distinct cells, 1-4 components of any finite value; rows holds each data
+    row's fields as the table writes them."""
+    kind = draw(st.sampled_from(d.StudyKind))
+    ages = st.integers(0, 120)
+    if kind is d.StudyKind.INCEPTION:
+        keys = draw(st.lists(ages, min_size=1, max_size=6, unique=True))
+        cells = [d.Cell(kind, age) for age in keys]
+        fields = [[str(age)] for age in keys]
+    else:
+        keys = draw(st.lists(st.tuples(ages, st.floats(0.0, 50.0)), min_size=1,
+                             max_size=6, unique_by=lambda k: (k[0], round(k[1], 9))))
+        cells = [d.Cell(kind, age, duration, 0.25) for age, duration in keys]
+        fields = [[str(age), repr(duration)] for age, duration in keys]
+    p = draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    design = np.array(draw(st.lists(values, min_size=len(cells) * p,
+                                    max_size=len(cells) * p))).reshape(len(cells), p)
+    rows = [key + [repr(v) for v in row] for key, row in zip(fields, design.tolist())]
+    return kind, cells, design, rows
+
+
+def table_text(kind, p, rows):
+    keys = "age" if kind is d.StudyKind.INCEPTION else "age,duration"
+    header = ",".join([keys] + [f"phi_{i}" for i in range(1, p + 1)])
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(basis_tables())
+def test_custom_basis_tables_round_trip_to_the_same_design(table):
+    kind, cells, design, rows = table
+    basis = d.load_custom_basis(io.StringIO(table_text(kind, design.shape[1], rows)),
+                                kind.value)
+    assert basis.p == design.shape[1]
+    np.testing.assert_array_equal(d.design_matrix(basis, cells), design)
+
+
+@st.composite
+def malformed_tables(draw):
+    """A well-formed table with one data row spoiled: a field that is not a
+    number, a non-finite value, or a field too many or too few.  Returns
+    (kind, text, the 1-based line of the spoiled row)."""
+    kind, _, design, rows = draw(basis_tables())
+    line = draw(st.integers(0, len(rows) - 1))
+    row = rows[line]
+    column = draw(st.integers(0, len(row) - 1))
+    fault = draw(st.sampled_from(["text", "non-finite", "width"]))
+    if fault == "text":
+        row[column] = draw(st.sampled_from(["x", "", " ", "1.0.0", "--1", "1e", "one"]))
+    elif fault == "non-finite":
+        row[column] = draw(st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999"]))
+    elif draw(st.booleans()):
+        row.append(row[column])
+    else:
+        del row[column]
+    return kind.value, table_text(kind, design.shape[1], rows), line + 2
+
+
+# A two-period panel of each kind, for the CLI to load before the basis.
+PANELS = {
+    "inception": "period,age,exposure,events\n1,30,100,3\n2,30,110,4\n",
+    "termination": ("period,age,duration,duration_width,exposure,events\n"
+                    "1,40,0.0,0.25,80,20\n2,40,0.0,0.25,70,15\n"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(malformed_tables())
+def test_malformed_custom_basis_tables_raise_and_exit_2(table):
+    kind, text, line = table
+    with pytest.raises(ValueError, match=f"custom basis line {line}: "):
+        d.load_custom_basis(io.StringIO(text), kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "basis.csv").write_text(text, encoding="utf-8")
+        (tmp / "panel.csv").write_text(PANELS[kind], encoding="utf-8")
+        config = {"study": kind, "seed": 1, "panel": str(tmp / "panel.csv"),
+                  "basis": {"kind": "custom", "table": str(tmp / "basis.csv")}}
+        (tmp / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["baseline", "--config", str(tmp / "config.json"),
+                         "--out", str(tmp / "out")])
+    assert code == 2, err.getvalue()
+    assert f"bad basis table: custom basis line {line}: " in err.getvalue()

@@ -166,3 +166,14 @@ def test_cell_validation():
     with pytest.raises(ValueError):
         d.Cell(d.StudyKind.TERMINATION, 30, -0.5, 0.25)
     assert d.Cell(d.StudyKind.TERMINATION, 30, 1.5, 0.5).label == "a30_d1.5"
+
+
+@pytest.mark.parametrize("duration, width", [
+    ("nan", "0.25"), ("inf", "0.25"), ("0.0", "nan"), ("0.0", "inf"),
+])
+def test_non_finite_duration_fields_are_rejected_with_line(duration, width):
+    # NaN compares false with everything, so a bare `duration < 0` test let
+    # it through, and two NaN-duration rows made two distinct cells.
+    text = TERMINATION_CSV.replace("2,40,0.0,0.25", f"2,40,{duration},{width}")
+    with pytest.raises(d.PanelFormatError, match="line 4: duration"):
+        d.load_panel(text, "termination")

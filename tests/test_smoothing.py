@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 import disrates as d
 from disrates import smoothing as sm
-from disrates.filtering import forward_pass
+from disrates.filtering import forward_pass, pinned_cdf
 from disrates.observation import make_slices
 from conftest import (flat_panel, inception_setup, random_theta, termination_setup,
                       toy_basis, toy_cells, toy_panel, toy_theta)
@@ -374,7 +374,7 @@ def test_backward_sweep_matches_the_tau_recursion(backward, setup):
 
 def test_reject_fallback_reports_the_particle_index():
     # Particle 2 of period 5 lies far from period 4's cloud and particle 7 is
-    # NaN: both reject every proposal and reach the fallback, where particle
+    # NaN: both reject every proposal and reach the IMH start, where particle
     # 7 must be named.
     gen = np.random.default_rng(23)
     theta = d.LatentParams(mu=[0.0], chol=[[1.0]], nu0=[0.0])
@@ -388,6 +388,37 @@ def test_reject_fallback_reports_the_particle_index():
             sm._sample_backward_reject(*whitened_stack(theta, particles), logw,
                                        ancestors, 2, gen)
     assert (info.value.period, info.value.particle) == (5, 7)
+
+
+@pytest.mark.parametrize("log_weights", [
+    [-1.2, -0.3, -2.0],
+    [-0.5, -1.5, -0.9, -2.5, -0.1],
+    [0.0, -30.0, -30.0, -30.0],  # nearly all the weight on particle 0
+    [-30.0, -30.0, 0.0, -700.0, -30.0],  # one weight near the underflow limit
+], ids=["N3", "N5", "concentrated", "tiny"])
+def test_one_imh_step_leaves_each_backward_categorical_invariant(log_weights):
+    # The exact transition matrix of one IMH step of the reject kernel on a
+    # few particles: propose k with the mass the pinned cdf gives it, move
+    # from j with probability min(1, exp(−½(q_k − q_j))), else stay.  Each
+    # row's backward categorical π ∝ w·exp(−½q) must satisfy πP = π.
+    gen = np.random.default_rng(len(log_weights))
+    num = len(log_weights)
+    theta = d.LatentParams(mu=[0.1, -0.2], chol=[[0.5, 0.0], [0.2, 0.4]],
+                           nu0=[0.0, 0.0])
+    particles = gen.standard_normal((2, num, 2))
+    particles[1, 0] = particles[0, -1] + 3.0  # a row far from most of the cloud
+    white, shift = whitened_stack(theta, particles)
+    w = np.exp(np.asarray(log_weights))
+    w /= w.sum()
+    proposal = np.diff(pinned_cdf(w), prepend=0.0)
+    for i in range(num):
+        q = sm._quad(white, shift, np.full(num, num + i), np.arange(num))
+        move = proposal[None, :] * np.exp(np.minimum(0.5 * (q[:, None] - q[None, :]), 0.0))
+        np.fill_diagonal(move, 0.0)
+        step = move + np.diag(1.0 - move.sum(axis=1))
+        pi = w * np.exp(-0.5 * (q - q.min()))
+        pi /= pi.sum()
+        np.testing.assert_allclose(pi @ step, pi, rtol=0, atol=1e-12)
 
 
 def test_multinomial_ancestor_is_a_backward_kernel_draw():
