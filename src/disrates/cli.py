@@ -22,35 +22,13 @@ import numpy as np
 from . import __version__
 from .basis import builtin, load_custom_basis
 from .em import EMConfig, em_fit, trace_to_csv
-from .errors import (
-    ConfigError,
-    FilterDegeneracyError,
-    GridCoverageError,
-    MStepNotPositiveDefinite,
-    PanelFormatError,
-    PanelValidationError,
-    PDRepairError,
-)
+from .errors import ConfigError, DisratesError
 from .filtering import bootstrap_filter, filter_to_csv, quantile_labels
 from .forecasting import forecast_to_csv, rate_surface, simulate_future
 from .latent import load_theta, require_valid, theta_from_dict, theta_to_json
 from .panel import Cell, StudyKind, csv_text, load_panel, serialize_panel
 from .synthetic import generate
 from .twostep import two_step_fit, yearly_fit_to_csv
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
-_NUMERIC_ERRORS = (
-    FilterDegeneracyError,
-    GridCoverageError,
-    MStepNotPositiveDefinite,
-    PDRepairError,
-    np.linalg.LinAlgError,
-)
-_DATA_ERRORS = (PanelFormatError, PanelValidationError)
 
 DEFAULT_FILTER_QUANTILES = (0.05, 0.5, 0.95)
 # The keys each level of the config accepts: any other key is a configuration
@@ -88,7 +66,7 @@ def build_parser():
 def _load_config(path):
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(raw)
@@ -422,23 +400,19 @@ def main(argv=None):
         config = _load_config(args.config)
         seed = _seed(args, config)
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
         _COMMANDS[args.command](args, config, outdir, seed)
         _write_manifest(outdir, args, seed, config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
+    except DisratesError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        return 4
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each concrete class carries how the command line reports it: `exit_code`
+is the process's exit status and `label` the prefix of its message on
+stderr (2 for configuration errors, 3 for data errors, 4 for numerical
+failures).
+"""
 
 
 class DisratesError(Exception):
@@ -11,6 +17,8 @@ class PanelFormatError(DisratesError, ValueError):
     Carries the 1-based line number of the offending row when known.
     """
 
+    exit_code, label = 3, "data error"
+
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
@@ -21,13 +29,19 @@ class PanelFormatError(DisratesError, ValueError):
 class PanelValidationError(DisratesError, ValueError):
     """Structurally valid input that violates a panel invariant (e.g. N > E)."""
 
+    exit_code, label = 3, "data error"
+
 
 class ConfigError(DisratesError, ValueError):
     """Invalid run configuration."""
 
+    exit_code, label = 2, "config error"
+
 
 class FilterDegeneracyError(DisratesError, RuntimeError):
     """All particle weights underflowed; the model cannot explain the data."""
+
+    exit_code, label = 4, "numerical failure"
 
     def __init__(self, period, particle=None):
         where = f"period {period}"
@@ -41,12 +55,16 @@ class FilterDegeneracyError(DisratesError, RuntimeError):
 class GridCoverageError(DisratesError, RuntimeError):
     """Probability mass reached the grid boundary; a wider grid is required."""
 
+    exit_code, label = 4, "numerical failure"
+
 
 class MStepNotPositiveDefinite(DisratesError):
     """Signal that the M-step covariance estimate is not positive definite.
 
     Carries the offending matrix so the EM driver can run a repair strategy.
     """
+
+    exit_code, label = 4, "numerical failure"
 
     def __init__(self, cbar):
         super().__init__("M-step covariance estimate is not positive definite")
@@ -55,6 +73,8 @@ class MStepNotPositiveDefinite(DisratesError):
 
 class PDRepairError(DisratesError, RuntimeError):
     """Both positive-definiteness repair strategies failed."""
+
+    exit_code, label = 4, "numerical failure"
 
     def __init__(self, iteration):
         super().__init__(

@@ -79,15 +79,6 @@ class LatentGrid:
             mask |= (flat == 0) | (flat == c - 1)
         return mask
 
-    def covers(self, theta, n, width=6.0):
-        """True if the grid spans the drifted prior to `width` step-sds."""
-        sd = theta.step_sd * np.sqrt(n)
-        for i, (lo, hi) in enumerate(self.ranges):
-            centers = theta.nu0[i] + np.arange(1, n + 1) * theta.mu[i]
-            if centers.min() - width * sd[i] < lo or centers.max() + width * sd[i] > hi:
-                return False
-        return True
-
 
 def make_grid(theta, n, count, width=8.0):
     """Grid sized to cover the drifted prior of an n-period run."""

@@ -27,6 +27,9 @@ TERMINATION_COLUMNS = (
 )
 
 
+_MAX_COUNT = np.iinfo(np.int64).max
+
+
 class StudyKind(str, enum.Enum):
     INCEPTION = "inception"
     TERMINATION = "termination"
@@ -144,7 +147,8 @@ class CellPanel:
 
 
 def _parse_count(text, column, line):
-    """Parse a nonnegative integer count; reject fractional inputs."""
+    """Parse a nonnegative integer count that fits in int64; reject
+    fractional and non-finite inputs."""
     text = text.strip()
     try:
         value = int(text)
@@ -153,13 +157,17 @@ def _parse_count(text, column, line):
             as_float = float(text)
         except ValueError:
             raise PanelFormatError(f"{column} {text!r} is not a number", line) from None
-        if as_float != int(as_float):
+        if not np.isfinite(as_float):
+            raise PanelFormatError(f"{column} {text!r} is not finite", line) from None
+        if not as_float.is_integer():
             raise PanelFormatError(
                 f"{column} {text!r} is fractional; counts must be integers", line
             ) from None
         value = int(as_float)
     if value < 0:
         raise PanelFormatError(f"{column} must be nonnegative, got {value}", line)
+    if value > _MAX_COUNT:
+        raise PanelFormatError(f"{column} {text!r} exceeds {_MAX_COUNT}", line)
     return value
 
 
@@ -170,7 +178,10 @@ def load_panel(source, schema):
     the inception or termination column layout (see module constants).
     """
     schema = StudyKind(schema)
-    text = read_text(source)
+    try:
+        text = read_text(source)
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"panel is not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -227,7 +238,8 @@ def load_panel(source, schema):
         raise PanelFormatError("no data rows")
     periods = sorted({p for _, p in records})
     n = max(periods)
-    if periods[0] != 1 or periods != list(range(1, n + 1)):
+    # Sorted and distinct, so consecutive from 1 when the last equals the count.
+    if periods[0] != 1 or n != len(periods):
         raise PanelFormatError(
             f"periods must be consecutive integers starting at 1, got {periods}"
         )

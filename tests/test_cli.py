@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import disrates as d
-from disrates import rng
+from disrates import cli, errors, rng
 from disrates.cli import (
     EM_KEYS,
     FILTER_KEYS,
@@ -182,6 +182,72 @@ def test_an_internal_value_error_is_not_reported_as_a_data_error(tmp_path, monke
     config = write_config(tmp_path, **base_config(tmp_path))
     with pytest.raises(ValueError, match="internal fault"):
         main(["baseline", "--config", config, "--out", str(tmp_path / "o")])
+
+
+# name: (an instance of every error class in disrates.errors, and numpy's
+# LinAlgError; the exit code and stderr label README promises for it)
+RAISED = {
+    "ConfigError": (errors.ConfigError("bad setting"), 2, "config error"),
+    "PanelFormatError": (errors.PanelFormatError("bad row", line=3), 3, "data error"),
+    "PanelValidationError": (errors.PanelValidationError("N > E"), 3, "data error"),
+    "FilterDegeneracyError": (errors.FilterDegeneracyError(5, 7), 4,
+                              "numerical failure"),
+    "GridCoverageError": (errors.GridCoverageError("mass at the edge"), 4,
+                          "numerical failure"),
+    "MStepNotPositiveDefinite": (errors.MStepNotPositiveDefinite(np.eye(2)), 4,
+                                 "numerical failure"),
+    "PDRepairError": (errors.PDRepairError(3), 4, "numerical failure"),
+    "LinAlgError": (np.linalg.LinAlgError("singular matrix"), 4, "numerical failure"),
+}
+
+
+def test_every_error_class_has_an_exit_code_case():
+    defined = {
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.DisratesError)
+    }
+    assert defined - {errors.DisratesError} == {
+        type(exc) for exc, _, _ in RAISED.values()} - {np.linalg.LinAlgError}
+
+
+@pytest.mark.parametrize("exc,code,label", RAISED.values(), ids=RAISED)
+def test_each_error_class_exits_with_its_code_and_label(tmp_path, capsys, monkeypatch,
+                                                        exc, code, label):
+    def raising(*args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", raising)
+    config = write_config(tmp_path, **base_config(tmp_path))
+    out = tmp_path / "o"
+    assert main(["validate", "--config", config, "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"{label}: {exc}\n"
+    assert not any(out.iterdir())
+
+
+# file: (exit code, start of stderr)
+NOT_UTF8 = {
+    "panel": (3, "data error: panel is not UTF-8 text"),
+    "config": (2, "config error: cannot read config"),
+    "basis": (2, "config error: bad basis table"),
+    "theta": (2, "config error: bad parameter file"),
+}
+
+
+@pytest.mark.parametrize("name,code,prefix",
+                         [(k, *v) for k, v in NOT_UTF8.items()], ids=NOT_UTF8)
+def test_a_file_that_is_not_utf8_exits_with_its_class_code(tmp_path, capsys, name,
+                                                           code, prefix):
+    body = base_config(tmp_path)
+    files = {"panel": body["panel"], "basis": body["basis"]["table"],
+             "theta": write_theta(tmp_path), "config": write_config(tmp_path, **body)}
+    target = Path(files[name])
+    raw = target.read_bytes()
+    target.write_bytes(raw[:10] + b"\xff" + raw[10:])
+    out = tmp_path / "o"
+    assert main(["filter", "--config", files["config"], "--theta0", files["theta"],
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_degenerate_filter_exits_4(tmp_path, capsys):

@@ -177,3 +177,35 @@ def test_non_finite_duration_fields_are_rejected_with_line(duration, width):
     text = TERMINATION_CSV.replace("2,40,0.0,0.25", f"2,40,{duration},{width}")
     with pytest.raises(d.PanelFormatError, match="line 4: duration"):
         d.load_panel(text, "termination")
+
+
+COUNT_FIELDS = {"period": 0, "age": 1, "exposure": 2, "events": 3}
+NOT_INT64_COUNTS = ("inf", "-inf", "nan", "1e400", "1e19", "9223372036854775808",
+                    "100000000000000000000000")
+
+
+@pytest.mark.parametrize("value", NOT_INT64_COUNTS)
+@pytest.mark.parametrize("column", COUNT_FIELDS)
+def test_counts_that_are_not_int64_are_rejected_with_line(column, value):
+    # int(float("inf")) and int(float("nan")) raise, and a count past 2**63 - 1
+    # does not fit the int64 arrays: each must be a data error naming its field.
+    row = ["2", "30", "110", "4"]
+    row[COUNT_FIELDS[column]] = value
+    text = INCEPTION_CSV.replace("2,30,110,4", ",".join(row))
+    with pytest.raises(d.PanelFormatError, match=f"line 4: {column} "):
+        d.load_panel(text, "inception")
+
+
+def test_the_largest_int64_count_is_accepted():
+    largest = str(np.iinfo(np.int64).max)
+    panel = d.load_panel(INCEPTION_CSV.replace("2,30,110,4", f"2,30,{largest},4"),
+                         "inception")
+    assert panel.exposure[0, 1] == np.iinfo(np.int64).max
+
+
+def test_a_far_period_gap_is_rejected_without_listing_the_range():
+    # The check must not build the periods 1..n it expects: for n = 10**12
+    # that list would take terabytes.
+    text = INCEPTION_CSV.replace("2,30,110,4", f"{10**12},30,110,4")
+    with pytest.raises(d.PanelFormatError, match="periods must be consecutive"):
+        d.load_panel(text, "inception")
