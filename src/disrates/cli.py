@@ -276,7 +276,10 @@ def _seed(args, config):
 
 def _write(outdir, name, text):
     target = outdir / name
-    target.write_text(text, encoding="utf-8")
+    try:
+        target.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     print(f"wrote {target}")
 
 
@@ -303,7 +306,8 @@ def _cmd_validate(args, config, outdir, seed):
     panel = _load_panel(config)
     print(
         f"panel OK: {panel.num_cells} cells x {panel.n} periods, "
-        f"{int(panel.exposure.sum())} exposure, {int(panel.events.sum())} events"
+        f"{panel.exposure.sum(dtype=object)} exposure, "
+        f"{panel.events.sum(dtype=object)} events"
     )
 
 
@@ -351,8 +355,9 @@ def _cmd_forecast(args, config, outdir, seed):
     theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("forecast needs parameters (--theta0 or config 'theta')")
-    output = bootstrap_filter(panel, basis, theta, num, seed)
-    paths = simulate_future(theta, output.clouds[-1], horizon, num_paths, seed)
+    # only the last cloud is kept: the others are freed before the paths are drawn
+    terminal = bootstrap_filter(panel, basis, theta, num, seed).clouds[-1]
+    paths = simulate_future(theta, terminal, horizon, num_paths, seed)
     surface = rate_surface(paths, basis, panel.cells, quantiles)
     _write(outdir, "forecast.csv", forecast_to_csv(surface, panel.cells, quantiles))
 

@@ -7,10 +7,11 @@ quantiles mapped through the logistic, which makes probability-space
 quantiles exact images of latent-space ones.
 
 Memory: `simulate_future` stores the (horizon, paths, p) latent paths;
-`rate_surface` then needs one (cells, paths) buffer, reused across the
-horizons, so a fan costs O(C*M) on top of the H*M*p stored paths.  Each
-horizon's predictor is one BLAS product into that buffer, and the fan's
-ranks are picked by partitioning its rows in place, not by sorting them.
+`rate_surface` then takes the cells in row groups through one (rows, paths)
+buffer, reused across the groups and horizons, so a fan costs O(rows*M) on
+top of the H*M*p stored paths.  Each group's predictor is one BLAS product
+into that buffer, and the fan's ranks are picked by partitioning its rows
+in place, not by sorting them.
 """
 
 import numpy as np
@@ -26,6 +27,13 @@ from .filtering import (
 from .latent import require_valid, step
 from .observation import logistic
 from .panel import csv_text
+
+# Cells per row group of rate_surface: a group's (rows, paths) buffer is
+# filled and partitioned while it is still in cache, where a whole (C, M)
+# one is not.  A group has at least this many rows when there are that
+# many cells, so its product never takes BLAS's one-row matrix-vector path,
+# which sums in another order.
+_GROUP_ROWS = 8
 
 
 def simulate_future(theta, terminal, horizon, num_paths, seed):
@@ -57,23 +65,32 @@ def rate_surface(paths, basis, cells, probs):
     Quantiles are left-continuous empirical quantiles of the linear
     predictor over the paths, mapped through the logistic, so each output
     level is exactly the logistic image of the matching latent quantile.
-    The horizons are taken one at a time through one reused (cells, paths)
-    buffer, so the fan needs O(cells * paths) memory beyond `paths` itself,
-    whatever the horizon.  The predictor is a BLAS matrix product, and the
-    order statistics come from in-place partitions (`_select_ranks`); they
-    are values, so they equal a full sort's bit for bit, ties included.
+    The horizons are taken one at a time, and each in groups of
+    `_GROUP_ROWS` cells, the last group taking the remainder (so all cells
+    when there are fewer than 2 * `_GROUP_ROWS`), through one reused
+    (rows, paths) buffer, so the fan needs O(rows * paths) memory beyond
+    `paths` itself, whatever the horizon and the cell count.  A group's
+    predictor is a BLAS matrix product, equal bit for bit to its rows of
+    the whole (cells, paths) product, and the order statistics come from
+    in-place partitions (`_select_ranks`); they are values, so they equal
+    a full sort's bit for bit, ties included.
     """
     probs = check_quantile_levels(probs)
     design = design_matrix(basis, cells)  # (C, p)
     horizon, count = paths.shape[:2]
     kth = np.searchsorted(np.arange(1, count + 1) / count, probs, side="left")
     kth = np.minimum(kth, count - 1)
-    logits = np.empty((design.shape[0], count))
-    fan = np.empty((design.shape[0], horizon, kth.size))
+    num_cells = design.shape[0]
+    last = max(0, num_cells // _GROUP_ROWS - 1) * _GROUP_ROWS  # the last group's start
+    buffer = np.empty((num_cells - last) * count)
+    fan = np.empty((num_cells, horizon, kth.size))
     for h, states in enumerate(paths):
-        np.matmul(design, states.T, out=logits)
-        _select_ranks(logits, kth)
-        fan[:, h] = logits[:, kth]
+        for lo in range(0, last + 1, _GROUP_ROWS):
+            hi = num_cells if lo == last else lo + _GROUP_ROWS
+            logits = buffer[: (hi - lo) * count].reshape(hi - lo, count)
+            np.matmul(design[lo:hi], states.T, out=logits)
+            _select_ranks(logits, kth)
+            fan[lo:hi, h] = logits[:, kth]
     return logistic(fan)
 
 

@@ -18,6 +18,10 @@ from .errors import PanelValidationError
 _SOFTPLUS_CUT = 30.0
 _P_MAX = np.nextafter(1.0, 0.0)
 _P_MIN = np.finfo(float).tiny
+# Particles per block of loglik_many: a (C, block) buffer of 0.7 MB at C=42
+# (up to twice that for the last block, which takes the remainder) stays in
+# cache, where the whole (C, N) predictor, 6.7 MB at N=20,000, does not.
+_BLOCK_COLUMNS = 2048
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,26 @@ def loglik(nu, period):
 
 
 def loglik_many(states, period):
-    """loglik evaluated at each row of `states` (N, p); returns (N,)."""
-    g = period.design @ states.T  # (C, N)
-    return period.events @ g - period.exposure @ softplus(g)
+    """loglik evaluated at each row of `states` (N, p); returns (N,).
+
+    The particles are taken in blocks of `_BLOCK_COLUMNS`, the last block
+    taking the remainder (so all of them when N < 2 * `_BLOCK_COLUMNS`),
+    through one reused, C-contiguous (C, block) predictor buffer.  Every
+    block but the last starts and ends at a multiple of the block size, and
+    none is narrower than one block unless N is, so BLAS sums each entry as
+    it would in the whole (C, N) products: with BLAS on one thread the
+    result is the whole-array formula's, bit for bit.
+    """
+    cells, count = period.design.shape[0], states.shape[0]
+    last = max(0, count // _BLOCK_COLUMNS - 1) * _BLOCK_COLUMNS  # the last block's start
+    buffer = np.empty(cells * (count - last))
+    out = np.empty(count)
+    for a in range(0, last + 1, _BLOCK_COLUMNS):
+        b = count if a == last else a + _BLOCK_COLUMNS
+        g = buffer[: cells * (b - a)].reshape(cells, b - a)
+        np.matmul(period.design, states[a:b].T, out=g)
+        np.subtract(period.events @ g, period.exposure @ softplus(g), out=out[a:b])
+    return out
 
 
 def loglik_grad_hess(nu, period):

@@ -85,6 +85,17 @@ def test_base_config_keeps_a_panel_it_is_given(tmp_path, capsys):
     assert "panel OK: 2 cells x 5 periods" in capsys.readouterr().out
 
 
+def test_validate_totals_do_not_wrap_around(tmp_path, capsys):
+    # two counts of 2**62 each fit int64; their total does not
+    panel = tmp_path / "big.csv"
+    panel.write_text(f"period,age,exposure,events\n1,30,{2**62},1\n2,30,{2**62},2\n",
+                     encoding="utf-8")
+    config = write_config(tmp_path, **base_config(tmp_path, panel=str(panel)))
+    assert main(["validate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert "1 cells x 2 periods, 9223372036854775808 exposure, 3 events" in (
+        capsys.readouterr().out)
+
+
 def test_seed_override_wins(tmp_path):
     config = write_config(tmp_path, **base_config(tmp_path))
     out = tmp_path / "out"
@@ -248,6 +259,29 @@ def test_a_file_that_is_not_utf8_exits_with_its_class_code(tmp_path, capsys, nam
                  "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(prefix)
     assert not out.exists() or not any(out.iterdir())
+
+
+# name: (command, the path under --out that is made a directory first, or
+# None to make --out itself a file)
+UNWRITABLE_OUT = {
+    "out-is-a-file": ("validate", None),
+    "manifest-is-a-directory": ("validate", "manifest.json"),
+    "table-is-a-directory": ("filter", "filter.csv"),
+}
+
+
+@pytest.mark.parametrize("command,blocked", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT)
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, command, blocked):
+    config = write_config(tmp_path, **base_config(tmp_path))
+    out = tmp_path / "out"
+    if blocked is None:
+        out.write_text("", encoding="utf-8")
+    else:
+        (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "out" in err, err
 
 
 def test_degenerate_filter_exits_4(tmp_path, capsys):

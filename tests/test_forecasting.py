@@ -180,6 +180,18 @@ def test_streamed_surface_matches_whole_cube(count):
         np.testing.assert_allclose(got, cube_fan(einsum_cube, probs), rtol=1e-13)
 
 
+GROUP = forecasting._GROUP_ROWS
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, GROUP, GROUP + 1, 2 * GROUP + 1])
+def test_row_grouped_surface_matches_whole_cube(num_cells):
+    cells, basis = wide_basis(num_cells, 3, seed=26)
+    paths = np.cumsum(np.random.default_rng(num_cells).standard_normal((3, 1001, 3)), axis=0)
+    for probs in ([0.05, 0.5, 0.95], [0.001, 0.999]):
+        np.testing.assert_array_equal(d.rate_surface(paths, basis, cells, probs),
+                                      whole_cube_surface(paths, basis, cells, probs))
+
+
 @pytest.mark.parametrize("count", [1, 2, 10, 1001])
 def test_select_ranks_equals_a_full_sort(count):
     gen = np.random.default_rng(count)
@@ -224,3 +236,19 @@ def test_streamed_surface_memory_is_one_horizon():
         tracemalloc.stop()
     # the (C, H, M) cube would be 42 * horizon * count * 8 bytes, 10 buffers
     assert peak < 1.5 * buffer_bytes
+
+
+def test_surface_buffer_is_one_row_group():
+    # 42 cells in groups of 8 rows, the last taking the remainder: the one
+    # (10, M) buffer is 10/42 of a whole (C, M) predictor
+    cells, basis = wide_basis(42, 2, seed=27)
+    count = 20_000
+    paths = np.random.default_rng(27).standard_normal((3, count, 2))
+    group_rows = GROUP + 42 % GROUP
+    tracemalloc.start()
+    try:
+        d.rate_surface(paths, basis, cells, [0.05, 0.5, 0.95])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert group_rows * count * 8 <= peak < 1.2 * group_rows * count * 8

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import binom
 
 import disrates as d
+from disrates import observation
 from conftest import toy_basis, toy_panel
 
 
@@ -35,6 +36,32 @@ def test_loglik_many_agrees_with_scalar():
     many = d.loglik_many(states, sl)
     single = [d.loglik(s, sl) for s in states]
     np.testing.assert_allclose(many, single, rtol=1e-12)
+
+
+def whole_array_loglik_many(states, period):
+    """The (C, N) predictor in one product: the bit-for-bit reference."""
+    g = period.design @ states.T
+    return period.events @ g - period.exposure @ d.softplus(g)
+
+
+def test_blocked_loglik_many_equals_the_whole_array():
+    # two cells and at most 2 * block + 1 particles keep every product below
+    # OpenBLAS's threading thresholds, so the reference sums in one order
+    # whatever the BLAS thread count
+    gen = np.random.default_rng(6)
+    sl = random_slice(gen, num_cells=2, exposure=10**6)
+    block = observation._BLOCK_COLUMNS
+    for count in (1, 2, block - 1, block, block + 1, 2 * block - 1, 2 * block,
+                  2 * block + 1):
+        states = gen.standard_normal((count, 2))
+        assert_same_bits(d.loglik_many(states, sl), whole_array_loglik_many(states, sl))
+    # logits beyond +-30 in the second block only: that block takes
+    # softplus's masked path, the first its unmasked one
+    states = gen.uniform(-1, 1, (2 * block, 2))
+    states[block:] *= 200
+    assert np.abs(sl.design @ states[:block].T).max() < 30
+    assert np.abs(sl.design @ states[block:].T).max() > 30
+    assert_same_bits(d.loglik_many(states, sl), whole_array_loglik_many(states, sl))
 
 
 def test_grad_hess_match_finite_differences():
