@@ -94,7 +94,8 @@ def parse_args(argv):
                         help="also time the acceptance criteria once per side "
                              "(default: all of them)")
     parser.add_argument("--workdir", default=None,
-                        help="where the temporary copies go (default: the system's)")
+                        help="where the temporary copies go, made if missing "
+                             "(default: the system's)")
     args = parser.parse_args(argv)
     if not args.pairs and args.acceptance is False:
         parser.error("nothing to measure: give --pairs, --acceptance or both")
@@ -286,6 +287,8 @@ def measure(trees, workload, seeds):
 
 def main(argv=None):
     args = parse_args(argv)
+    if args.workdir is not None:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="bench-ab-", dir=args.workdir) as tmp:
         trees = {side: Path(tmp) / side for side in ("base", "change")}
         sides = {"base": copy_revision(args.base, trees["base"])}

@@ -54,8 +54,8 @@ def parse_args(argv):
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-100"),
                         metavar="SEED[-SEED]")
     parser.add_argument("--workdir", default=None,
-                        help="where each fit's temporary inputs and outputs go "
-                             "(default: the system's temporary directory)")
+                        help="where each fit's temporary inputs and outputs go, made "
+                             "if missing (default: the system's temporary directory)")
     return parser.parse_args(argv)
 
 
@@ -90,6 +90,8 @@ def main(argv=None):
     import disrates
 
     checkout.check_imported_from_checkout(disrates)
+    if args.workdir is not None:
+        Path(args.workdir).mkdir(parents=True, exist_ok=True)
     failed, lowest = [], None
     for name in args.workloads:
         for seed in args.seeds:

@@ -5,8 +5,11 @@ overridden on the command line.  Every command writes its tables, and then
 a manifest from which the run can be reproduced exactly: the command, the
 config as given with the seed in effect, its hash, the --theta0 path as
 given (null without it) and the versions of Python, numpy and disrates,
-the packages a command runs on.  No command starts worker threads of its
-own; --threads is still accepted and has no effect.
+the packages a command runs on.  The filter's likelihood blocks and
+summaries and the forecast's normals and fan, when large enough, are
+shared among worker threads, one per CPU the process may run on (see
+`disrates.workers`); outputs are the same bits whatever that count.  --threads is still accepted
+and has no effect.
 """
 
 import argparse
@@ -55,7 +58,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; no command starts worker threads")
+                        help="accepted and ignored; the worker count is the number of "
+                             "CPUs the process may run on")
     parser.add_argument("--theta0", default=None,
                         help="JSON parameter file (initial point, or the "
                              "parameters for filter/forecast)")
@@ -99,7 +103,7 @@ def _build_basis(config, kind):
         if not spec.get("table"):
             raise ConfigError("custom basis needs a 'table' CSV path")
         try:
-            return load_custom_basis(Path(spec["table"]), kind)
+            return load_custom_basis(_path(spec["table"], "basis", "table"), kind)
         except OSError as exc:
             raise ConfigError(f"cannot read basis table: {exc}") from exc
         except ValueError as exc:
@@ -150,10 +154,20 @@ def _bucket_bounds(values, key, positive):
     return [float(value) for value in values]
 
 
+def _path(value, section, key):
+    """A path setting as a Path; JSON gives it as a string, and a number, list
+    or boolean there would reach Path() as a TypeError.  section None names a
+    top-level key."""
+    if isinstance(value, str):
+        return Path(value)
+    where = f"{section} config" if section else "config"
+    raise ConfigError(f"bad {where}: {key} must be a file path string, got {value!r}")
+
+
 def _load_panel(config):
-    path = _require(config, "panel")
+    path = _path(_require(config, "panel"), None, "panel")
     try:
-        return load_panel(Path(path), _study_kind(config))
+        return load_panel(path, _study_kind(config))
     except OSError as exc:
         raise ConfigError(f"cannot read panel: {exc}") from exc
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, workers
 from .errors import FilterDegeneracyError
 from .latent import require_valid, step
 from .observation import loglik_many, make_slices
@@ -193,12 +193,24 @@ def bootstrap_filter(panel, basis, theta, num_particles, seed, *, path=()):
 
 
 def filter_to_csv(output, probs=(0.05, 0.5, 0.95)):
-    """Long-format per-period summary: mean, quantiles and ESS."""
+    """Long-format per-period summary: mean, quantiles and ESS.
+
+    The clouds' means and quantiles are computed on the workers
+    (`disrates.workers`) when the clouds are large enough to share, the
+    rows then formatted in period order.
+    """
     labels = quantile_labels(probs)
+    clouds = output.clouds
+    summaries = [None] * len(clouds)
+
+    def summarize(share):
+        for k in share:
+            summaries[k] = filter_mean(clouds[k]), filter_quantiles(clouds[k], probs)
+
+    workers.run_shares(summarize, workers.deal(
+        len(clouds), sum(cloud.particles.size for cloud in clouds)))
     rows = []
-    for cloud, size in zip(output.clouds, output.ess):
-        mean = filter_mean(cloud)
-        quants = filter_quantiles(cloud, probs)
+    for cloud, size, (mean, quants) in zip(clouds, output.ess, summaries):
         for i in range(cloud.particles.shape[1]):
             row = [cloud.period, i + 1, repr(float(mean[i]))]
             row += [repr(float(q)) for q in quants[:, i]]

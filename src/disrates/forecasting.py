@@ -7,16 +7,19 @@ quantiles mapped through the logistic, which makes probability-space
 quantiles exact images of latent-space ones.
 
 Memory: `simulate_future` stores the (horizon, paths, p) latent paths;
-`rate_surface` then takes the cells in row groups through one (rows, paths)
-buffer, reused across the groups and horizons, so a fan costs O(rows*M) on
-top of the H*M*p stored paths.  Each group's predictor is one BLAS product
-into that buffer, and the fan's ranks are picked by partitioning its rows
-in place, not by sorting them.
+`rate_surface` then deals the horizons to the workers (`disrates.workers`),
+and each worker takes the cells in row groups through one (rows, paths)
+buffer of its own, reused across its groups and horizons, so a fan costs
+O(W*rows*M) on top of the H*M*p stored paths, W <= min(workers, H) (see
+`workers.deal`).  Each
+group's predictor is one BLAS product into that buffer, and the fan's ranks
+are picked by partitioning its rows in place, not by sorting them.  Each
+horizon's result is the same bits at any worker count.
 """
 
 import numpy as np
 
-from . import rng
+from . import rng, workers
 from .basis import design_matrix
 from .filtering import (
     check_quantile_levels,
@@ -43,19 +46,27 @@ def simulate_future(theta, terminal, horizon, num_paths, seed):
     path starts at a particle drawn from it by weight (stream (seed,
     FORECAST, 0)) and then takes `horizon` steps of the random walk under
     theta (stream (seed, FORECAST, h) for step h).  A one-particle cloud
-    starts every path at the same point.
+    starts every path at the same point.  The horizons' normals are drawn
+    on the workers, each straight into its slot of the output; the steps
+    are then taken in order on the calling thread, each overwriting the
+    normals it used.
     """
     require_valid(theta)
     if horizon < 1 or num_paths < 1:
         raise ValueError("horizon and path count must be positive")
     gen = rng.substream(seed, rng.FORECAST, 0)
     picks = inverse_cdf(pinned_cdf(terminal.weights), gen.random(num_paths))
-    current = terminal.particles[picks]
+    gens = [rng.substream(seed, rng.FORECAST, h) for h in range(1, horizon + 1)]
     out = np.empty((horizon, num_paths, theta.p))
-    for h in range(1, horizon + 1):
-        gen = rng.substream(seed, rng.FORECAST, h)
-        current = step(theta, current, gen.standard_normal((num_paths, theta.p)))
-        out[h - 1] = current
+
+    def draw(hs):  # each horizon's normals, in place of its path states
+        for h in hs:
+            gens[h].standard_normal(out=out[h])
+
+    workers.run_shares(draw, workers.deal(horizon, out.size))
+    current = terminal.particles[picks]
+    for h in range(horizon):
+        out[h] = current = step(theta, current, out[h])
     return out
 
 
@@ -65,11 +76,12 @@ def rate_surface(paths, basis, cells, probs):
     Quantiles are left-continuous empirical quantiles of the linear
     predictor over the paths, mapped through the logistic, so each output
     level is exactly the logistic image of the matching latent quantile.
-    The horizons are taken one at a time, and each in groups of
-    `_GROUP_ROWS` cells, the last group taking the remainder (so all cells
-    when there are fewer than 2 * `_GROUP_ROWS`), through one reused
-    (rows, paths) buffer, so the fan needs O(rows * paths) memory beyond
-    `paths` itself, whatever the horizon and the cell count.  A group's
+    The horizons are dealt to the workers, and each worker takes its
+    horizons one at a time, each in groups of `_GROUP_ROWS` cells, the last
+    group taking the remainder (so all cells when there are fewer than
+    2 * `_GROUP_ROWS`), through one reused (rows, paths) buffer allocated by
+    the caller, so the fan needs O(min(workers, horizon) * rows * paths)
+    memory beyond `paths` itself, whatever the cell count.  A group's
     predictor is a BLAS matrix product, equal bit for bit to its rows of
     the whole (cells, paths) product, and the order statistics come from
     in-place partitions (`_select_ranks`); they are values, so they equal
@@ -82,15 +94,22 @@ def rate_surface(paths, basis, cells, probs):
     kth = np.minimum(kth, count - 1)
     num_cells = design.shape[0]
     last = max(0, num_cells // _GROUP_ROWS - 1) * _GROUP_ROWS  # the last group's start
-    buffer = np.empty((num_cells - last) * count)
     fan = np.empty((num_cells, horizon, kth.size))
-    for h, states in enumerate(paths):
-        for lo in range(0, last + 1, _GROUP_ROWS):
-            hi = num_cells if lo == last else lo + _GROUP_ROWS
-            logits = buffer[: (hi - lo) * count].reshape(hi - lo, count)
-            np.matmul(design[lo:hi], states.T, out=logits)
-            _select_ranks(logits, kth)
-            fan[lo:hi, h] = logits[:, kth]
+
+    def fan_horizons(share):
+        hs, buffer = share
+        for h in hs:
+            for lo in range(0, last + 1, _GROUP_ROWS):
+                hi = num_cells if lo == last else lo + _GROUP_ROWS
+                logits = buffer[: (hi - lo) * count].reshape(hi - lo, count)
+                np.matmul(design[lo:hi], paths[h].T, out=logits)
+                _select_ranks(logits, kth)
+                fan[lo:hi, h] = logits[:, kth]
+
+    workers.run_shares(fan_horizons, [
+        (hs, np.empty((num_cells - last) * count))
+        for hs in workers.deal(horizon, num_cells * horizon * count)
+    ])
     return logistic(fan)
 
 

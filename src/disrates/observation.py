@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .basis import check_rank, design_matrix
 from .errors import PanelValidationError
 
@@ -21,6 +22,7 @@ _P_MIN = np.finfo(float).tiny
 # Particles per block of loglik_many: a (C, block) buffer of 0.7 MB at C=42
 # (up to twice that for the last block, which takes the remainder) stays in
 # cache, where the whole (C, N) predictor, 6.7 MB at N=20,000, does not.
+# Each worker has a buffer of the largest block's size.
 _BLOCK_COLUMNS = 2048
 
 
@@ -92,22 +94,34 @@ def loglik_many(states, period):
     """loglik evaluated at each row of `states` (N, p); returns (N,).
 
     The particles are taken in blocks of `_BLOCK_COLUMNS`, the last block
-    taking the remainder (so all of them when N < 2 * `_BLOCK_COLUMNS`),
-    through one reused, C-contiguous (C, block) predictor buffer.  Every
-    block but the last starts and ends at a multiple of the block size, and
-    none is narrower than one block unless N is, so BLAS sums each entry as
-    it would in the whole (C, N) products: with BLAS on one thread the
-    result is the whole-array formula's, bit for bit.
+    taking the remainder (so all of them when N < 2 * `_BLOCK_COLUMNS`), and
+    the blocks are dealt to the workers (`disrates.workers`), each with one
+    reused, C-contiguous (C, block) predictor buffer allocated by the caller:
+    O(min(workers, blocks) * C * block) memory.  One block, or a (C, N)
+    predictor too small to give each worker `workers.MIN_SHARE_ELEMENTS`
+    entries (every fit's case), runs on the calling thread.  Every block but
+    the last starts and ends at a multiple of the block size, and none is
+    narrower than one block unless N is, so BLAS sums each entry as it would
+    in the whole (C, N) products: with BLAS on one thread the result is the
+    whole-array formula's, bit for bit, at any worker count.
     """
     cells, count = period.design.shape[0], states.shape[0]
     last = max(0, count // _BLOCK_COLUMNS - 1) * _BLOCK_COLUMNS  # the last block's start
-    buffer = np.empty(cells * (count - last))
     out = np.empty(count)
-    for a in range(0, last + 1, _BLOCK_COLUMNS):
-        b = count if a == last else a + _BLOCK_COLUMNS
-        g = buffer[: cells * (b - a)].reshape(cells, b - a)
-        np.matmul(period.design, states[a:b].T, out=g)
-        np.subtract(period.events @ g, period.exposure @ softplus(g), out=out[a:b])
+
+    def blocks(share):
+        ks, buffer = share
+        for k in ks:
+            a = k * _BLOCK_COLUMNS
+            b = count if a == last else a + _BLOCK_COLUMNS
+            g = buffer[: cells * (b - a)].reshape(cells, b - a)
+            np.matmul(period.design, states[a:b].T, out=g)
+            np.subtract(period.events @ g, period.exposure @ softplus(g), out=out[a:b])
+
+    workers.run_shares(blocks, [
+        (ks, np.empty(cells * (count - last)))
+        for ks in workers.deal(last // _BLOCK_COLUMNS + 1, cells * count)
+    ])
     return out
 
 

@@ -132,8 +132,7 @@ def test_main_alternates_sides_on_fresh_copies(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ab, "ROOT", repo)
     monkeypatch.setattr(ab, "run_perfbench", fake_run)
-    workdir = tmp_path / "work"
-    workdir.mkdir()
+    workdir = tmp_path / "work" / "ab"  # made by the run
     assert ab.main(["--slug", "t", "--base", "HEAD", "--pairs", "w:1-3",
                     "--workdir", str(workdir)]) == 0
     assert calls == [("base", 1), ("change", 1), ("change", 2), ("base", 2),

@@ -30,7 +30,7 @@ def test_sweep_checks_one_fit_inception_seed(tmp_path):
     assert list(tmp_path.iterdir()) == []  # each fit's directory is removed
 
 
-def test_failing_fits_are_named_on_a_last_line(monkeypatch, capsys):
+def test_failing_fits_are_named_on_a_last_line(tmp_path, monkeypatch, capsys):
     # Loading the sweep pins BLAS and extends sys.path; both are restored.
     monkeypatch.setattr(sys, "path", list(sys.path))
     for name in BLAS_THREAD_VARS:
@@ -46,7 +46,9 @@ def test_failing_fits_are_named_on_a_last_line(monkeypatch, capsys):
         return problems, 0.9, "0" * 64
 
     monkeypatch.setattr(sweep, "fit_once", fit_once)
-    assert sweep.main(["--seeds", "1-3"]) == 1
+    workdir = tmp_path / "work" / "sweep"  # made by the run
+    assert sweep.main(["--seeds", "1-3", "--workdir", str(workdir)]) == 1
+    assert list(workdir.iterdir()) == []
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     assert lines[1].endswith("checks step sd 1 is 0.4x")

@@ -435,6 +435,41 @@ def test_blas_thread_count_never_changes_outputs(tmp_path):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_worker_count_never_changes_outputs(tmp_path):
+    # The worker count is the number of CPUs a process may run on, read at
+    # import, so each run is a fresh process: on one CPU every kernel runs
+    # serially.  With 20 cells, 10 periods, 30,000 particles and 100,000
+    # paths, each of the four kernels has work enough for two shares.
+    body = base_config(
+        tmp_path, panel=write_panel(tmp_path, panel_with(range(30, 50), 10)), basis=LINEAR2,
+        em={"num_particles": 300, "max_iters": 2, "tail_window": 1},
+        filter={"num_particles": 30_000},
+        forecast={"horizon": 3, "num_paths": 100_000},
+    )
+    config = write_config(tmp_path, **body)
+    theta = write_theta(tmp_path, d.LatentParams(
+        mu=[0.01, -0.02], chol=[[0.1, 0.0], [0.02, 0.1]], nu0=[-3.0, 0.2]))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    usable = os.sched_getaffinity(0)
+    cpu_sets = {"one": {min(usable)}, "all": usable}
+    for label, cpus in cpu_sets.items():
+        for command in ("fit", "filter", "forecast"):
+            argv = ["--config", config, "--out", str(tmp_path / label / command)]
+            if command != "fit":
+                argv += ["--theta0", theta]
+            subprocess.run([sys.executable, "-m", "disrates.cli", command, *argv],
+                           capture_output=True, check=True, env=env,
+                           preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus))
+    one, every = tmp_path / "one", tmp_path / "all"
+    names = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(every) for p in every.rglob("*") if p.is_file())
+    assert len(names) == 4 + 2 + 2  # fit's three outputs, one each for the others, manifests
+    for name in names:
+        assert (one / name).read_bytes() == (every / name).read_bytes(), name
+
+
 def test_console_entry_point(tmp_path):
     config = write_config(tmp_path, **base_config(tmp_path))
     src = str(Path(__file__).parents[1] / "src")  # this checkout, not an installed copy
@@ -529,6 +564,37 @@ def test_bad_setting_exits_2_before_any_output(tmp_path, capsys, command, sectio
     assert code == 2
     err = capsys.readouterr().err
     assert f"bad {section} config" in err and field in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# Path settings that are not JSON strings: (command, path of the key in the
+# base config, its value, what the message must say).
+BAD_PATHS = {
+    "panel-number": ("validate", ("panel",), 5, "bad config: panel"),
+    "panel-null": ("filter", ("panel",), None, "bad config: panel"),
+    "panel-list": ("fit", ("panel",), ["panel.csv"], "bad config: panel"),
+    "panel-bool": ("forecast", ("panel",), True, "bad config: panel"),
+    "table-number": ("baseline", ("basis", "table"), 5, "bad basis config: table"),
+    "table-list": ("filter", ("basis", "table"), ["basis.csv"], "bad basis config: table"),
+    "table-bool": ("synth", ("basis", "table"), True, "bad basis config: table"),
+}
+
+
+@pytest.mark.parametrize("command,path,value,message", BAD_PATHS.values(), ids=BAD_PATHS)
+def test_a_path_setting_that_is_not_a_string_exits_2(tmp_path, capsys, command, path,
+                                                     value, message):
+    body = base_config(tmp_path, synth=SYNTH)
+    *parents, key = path
+    section = body
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{message} must be a file path string" in err, err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import disrates as d
-from disrates import forecasting
+from disrates import forecasting, workers
 from conftest import toy_basis, toy_cells, toy_panel, toy_theta
 
 
@@ -238,17 +238,29 @@ def test_streamed_surface_memory_is_one_horizon():
     assert peak < 1.5 * buffer_bytes
 
 
-def test_surface_buffer_is_one_row_group():
-    # 42 cells in groups of 8 rows, the last taking the remainder: the one
-    # (10, M) buffer is 10/42 of a whole (C, M) predictor
+def surface_peak(num_workers, monkeypatch):
+    """Peak traced bytes of a 42-cell, 3-horizon fan over 20,000 paths."""
+    monkeypatch.setattr(workers, "COUNT", num_workers)
     cells, basis = wide_basis(42, 2, seed=27)
-    count = 20_000
-    paths = np.random.default_rng(27).standard_normal((3, count, 2))
-    group_rows = GROUP + 42 % GROUP
+    paths = np.random.default_rng(27).standard_normal((3, 20_000, 2))
     tracemalloc.start()
     try:
         d.rate_surface(paths, basis, cells, [0.05, 0.5, 0.95])
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_surface_buffer_is_one_row_group(monkeypatch):
+    # 42 cells in groups of 8 rows, the last taking the remainder: the one
+    # (10, M) buffer of one worker is 10/42 of a whole (C, M) predictor
+    count = 20_000
+    group_rows = GROUP + 42 % GROUP
+    peak = surface_peak(1, monkeypatch)
     assert group_rows * count * 8 <= peak < 1.2 * group_rows * count * 8
+
+
+def test_surface_takes_one_row_group_buffer_per_worker(monkeypatch):
+    buffer_bytes = (GROUP + 42 % GROUP) * 20_000 * 8
+    peak = surface_peak(2, monkeypatch)
+    assert 2 * buffer_bytes <= peak < 1.2 * 2 * buffer_bytes
