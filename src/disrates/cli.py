@@ -8,21 +8,27 @@ given (null without it) and the versions of Python, numpy and disrates,
 the packages a command runs on.  The filter's likelihood blocks and
 summaries and the forecast's normals and fan, when large enough, are
 shared among worker threads, one per CPU the process may run on (see
-`disrates.workers`); outputs are the same bits whatever that count.  --threads is still accepted
-and has no effect.
+`disrates.workers`); outputs are the same bits whatever that count.
+--threads is still accepted and has no effect.
+
+The `em`, `filter` and `forecast` sections are read through one table,
+SETTINGS, and their counts are bounded by the memory the arrays they imply
+would take (`_check_memory`); a bad or absurd setting exits 2 before any
+compute.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .basis import builtin, load_custom_basis
 from .em import EMConfig, em_fit, trace_to_csv
 from .errors import ConfigError, DisratesError
@@ -33,16 +39,15 @@ from .panel import Cell, StudyKind, csv_text, load_panel, serialize_panel
 from .synthetic import generate
 from .twostep import two_step_fit, yearly_fit_to_csv
 
-DEFAULT_FILTER_QUANTILES = (0.05, 0.5, 0.95)
 # The keys each level of the config accepts: any other key is a configuration
 # error, so a misspelt or retired setting never passes unnoticed.
 TOP_KEYS = ("panel", "study", "seed", "basis", "em", "filter", "forecast", "theta",
             "theta0", "synth")
 SYNTH_KEYS = ("cells", "theta", "periods", "exposure")
 CELL_KEYS = ("ages", "durations", "duration_widths")
-EM_KEYS = tuple(f.name for f in dataclasses.fields(EMConfig))
-FILTER_KEYS = ("num_particles", "quantiles")
-FORECAST_KEYS = ("horizon", "num_paths", "quantiles")
+# The most bytes the arrays a run's counts imply may take (see _check_memory):
+# the machine's physical memory, which no array beyond it can be held in.
+MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def build_parser():
@@ -74,7 +79,7 @@ def _load_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         config = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or an integer of over 4,300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _section(config, None, TOP_KEYS)
 
@@ -143,9 +148,11 @@ def _is_number(value):
 
 
 def _bucket_bounds(values, key, positive):
-    """Finite JSON numbers as floats, each positive or nonnegative."""
+    """Finite JSON numbers as floats, each positive or nonnegative.  An
+    integer beyond the float range fails the bound (np.isfinite would raise
+    on one beyond int64)."""
     for value in values:
-        if not (_is_number(value) and np.isfinite(value)
+        if not (_is_number(value) and abs(value) <= sys.float_info.max
                 and (value > 0 or not positive and value == 0)):
             sign = "positive" if positive else "nonnegative"
             raise ConfigError(
@@ -177,7 +184,7 @@ def _theta_from(args, config, basis, key="theta0"):
     if path is None:
         return None
     try:
-        theta = require_valid(load_theta(Path(path)))
+        theta = require_valid(load_theta(_path(path, None, key)))
     except OSError as exc:
         raise ConfigError(f"cannot read parameter file: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -195,10 +202,6 @@ def _check_dimension(theta, basis, source):
         )
 
 
-def _int_setting(spec, section, key, default):
-    return _integral(spec.get(key, default), section, key)
-
-
 def _integral(value, section, key):
     """Integers and integral floats such as 1e3 pass; booleans, fractions
     and strings do not (int() would turn true into 1, 2.7 into 2 and "12"
@@ -207,6 +210,42 @@ def _integral(value, section, key):
         return int(value)
     where = f"{section} config" if section else "config"
     raise ConfigError(f"bad {where}: {key} must be an integer, got {value!r}")
+
+
+def _count(value, section, key):
+    """An integral number of at least 1; its upper bound is _check_memory's."""
+    count = _integral(value, section, key)
+    if count < 1:
+        raise ConfigError(f"bad {section} config: {key} must be at least 1")
+    return count
+
+
+def _quantile_levels(levels, section, key):
+    """The quantile levels as floats; they must be a nonempty list of JSON numbers."""
+    if not (isinstance(levels, (list, tuple)) and levels and all(map(_is_number, levels))):
+        raise ConfigError(
+            f"bad {section} config: {key} must be a nonempty list of numbers, "
+            f"got {levels!r}"
+        )
+    levels = tuple(float(q) for q in levels)
+    try:
+        quantile_labels(levels)
+    except ValueError as exc:
+        raise ConfigError(f"bad {section} config: {key}: {exc}") from exc
+    return levels
+
+
+# Each run section's settings: key -> (reader, default).  A reader turns the
+# JSON value into the setting or raises ConfigError; None passes the value as
+# given (EMConfig checks `backward` itself).  The em entries come from
+# EMConfig's fields, the one home of the EM defaults.
+QUANTILES = (_quantile_levels, (0.05, 0.5, 0.95))  # the filter's and the forecast's
+SETTINGS = {
+    "em": {f.name: (_count if f.type is int else None, f.default)
+           for f in dataclasses.fields(EMConfig)},
+    "filter": {"num_particles": (_count, 2000), "quantiles": QUANTILES},
+    "forecast": {"horizon": (_count, 10), "num_paths": (_count, 10000), "quantiles": QUANTILES},
+}
 
 
 def _section(config, name, keys):
@@ -227,55 +266,52 @@ def _section(config, name, keys):
     return spec
 
 
+def _settings(config, name):
+    """The settings of run section `name`, each read by its SETTINGS entry,
+    unset ones at their defaults; checked in full before any compute."""
+    table = SETTINGS[name]
+    spec = _section(config, name, table)
+    settings = {}
+    for key, (reader, default) in table.items():
+        value = spec.get(key, default)
+        settings[key] = value if reader is None else reader(value, name, key)
+    return settings
+
+
 def _em_config(config):
-    """The EM settings, checked in full before any compute; unset ones take
-    EMConfig's defaults."""
-    spec = _section(config, "em", EM_KEYS)
-    defaults = EMConfig()
-    settings = {
-        key: _int_setting(spec, "em", key, getattr(defaults, key))
-        for key in ("num_particles", "num_backward", "max_iters", "tail_window")
-    }
-    settings["backward"] = spec.get("backward", defaults.backward)
+    """The em settings as an EMConfig, which checks them against each other."""
+    settings = _settings(config, "em")
     try:
         return EMConfig(**settings)
     except ValueError as exc:
         raise ConfigError(f"bad em config: {exc}") from exc
 
 
-def _quantile_levels(spec, section):
-    """The quantile levels as floats; they must be a nonempty list of JSON numbers."""
-    levels = spec.get("quantiles", DEFAULT_FILTER_QUANTILES)
-    if not (isinstance(levels, (list, tuple)) and levels and all(map(_is_number, levels))):
-        raise ConfigError(
-            f"bad {section} config: quantiles must be a nonempty list of numbers, "
-            f"got {levels!r}"
-        )
-    levels = tuple(float(q) for q in levels)
-    try:
-        quantile_labels(levels)
-    except ValueError as exc:
-        raise ConfigError(f"bad {section} config: quantiles: {exc}") from exc
-    return levels
-
-
-def _filter_settings(config):
-    """(particle count, quantile levels), checked before any compute."""
-    spec = _section(config, "filter", FILTER_KEYS)
-    num = _int_setting(spec, "filter", "num_particles", 2000)
-    if num < 1:
-        raise ConfigError("bad filter config: num_particles must be at least 1")
-    return num, _quantile_levels(spec, "filter")
-
-
-def _forecast_settings(config):
-    """(horizon, path count, quantile levels), checked before any compute."""
-    spec = _section(config, "forecast", FORECAST_KEYS)
-    horizon = _int_setting(spec, "forecast", "horizon", 10)
-    num_paths = _int_setting(spec, "forecast", "num_paths", 10000)
-    if horizon < 1 or num_paths < 1:
-        raise ConfigError("bad forecast config: horizon and num_paths must be at least 1")
-    return horizon, num_paths, _quantile_levels(spec, "forecast")
+def _check_memory(n, p, em=None, filt=None, fore=None, synth_cells=0):
+    """Raise ConfigError, before any compute, when the float64 arrays that a
+    run's counts imply over n periods at basis dimension p exceed
+    MEMORY_BYTES, so an absurd count exits 2 and never reaches numpy or a
+    loop without end.  The arrays, in elements, as Python ints (no wrap):
+    - em: the E step's clouds and their whitened copy, 2·n·N·p, and one θ
+      and Q value per iteration, max_iters·(p + 1)²;
+    - filt: the filter's clouds, n·N·p;
+    - fore: the paths, H·M·p, and rate_surface's fan buffers of at most 15
+      rows, one per worker, min(workers, H)·15·M;
+    - synth_cells: synth's path and its (C, n) exposure, probability and
+      event tables, n·(p + 3·C).
+    """
+    elements = n * (p + 3 * synth_cells) if synth_cells else 0
+    if em is not None:
+        elements += 2 * n * em.num_particles * p + em.max_iters * (p + 1) ** 2
+    if filt is not None:
+        elements += n * filt["num_particles"] * p
+    if fore is not None:
+        horizon, paths = fore["horizon"], fore["num_paths"]
+        elements += horizon * paths * p + min(workers.COUNT, horizon) * 15 * paths
+    if 8 * elements > MEMORY_BYTES:
+        need = f"{8 * elements / 2**30:.3g} GiB" if elements < 2**100 else "over 2**100 floats"
+        raise ConfigError(f"bad config: the counts need {need} of arrays, more than "
+                          f"the {MEMORY_BYTES / 2**30:.3g} GiB of memory")
 
 
 def _seed(args, config):
@@ -335,9 +371,10 @@ def _cmd_baseline(args, config, outdir, seed):
 
 def _cmd_fit(args, config, outdir, seed):
     em_config = _em_config(config)
-    num, quantiles = _filter_settings(config)
+    filt = _settings(config, "filter")
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
+    _check_memory(panel.n, basis.p, em=em_config, filt=filt)
     theta0 = _theta_from(args, config, basis)
     if theta0 is None:
         print("no initial parameters given; running the two-step baseline")
@@ -345,35 +382,37 @@ def _cmd_fit(args, config, outdir, seed):
     trace = em_fit(panel, basis, theta0, em_config, seed)
     _write(outdir, "trace.csv", trace_to_csv(trace))
     _write(outdir, "theta_hat.json", theta_to_json(trace.theta_final))
-    output = bootstrap_filter(panel, basis, trace.theta_final, num, seed)
-    _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
+    output = bootstrap_filter(panel, basis, trace.theta_final, filt["num_particles"], seed)
+    _write(outdir, "filter.csv", filter_to_csv(output, filt["quantiles"]))
 
 
 def _cmd_filter(args, config, outdir, seed):
-    num, quantiles = _filter_settings(config)
+    filt = _settings(config, "filter")
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
+    _check_memory(panel.n, basis.p, filt=filt)
     theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("filter needs parameters (--theta0 or config 'theta')")
-    output = bootstrap_filter(panel, basis, theta, num, seed)
+    output = bootstrap_filter(panel, basis, theta, filt["num_particles"], seed)
     print(f"log-likelihood estimate {output.loglik_estimate:.6f}")
-    _write(outdir, "filter.csv", filter_to_csv(output, quantiles))
+    _write(outdir, "filter.csv", filter_to_csv(output, filt["quantiles"]))
 
 
 def _cmd_forecast(args, config, outdir, seed):
-    horizon, num_paths, quantiles = _forecast_settings(config)
-    num, _ = _filter_settings(config)
+    fore = _settings(config, "forecast")
+    filt = _settings(config, "filter")
     panel = _load_panel(config)
     basis = _build_basis(config, panel.kind)
+    _check_memory(panel.n, basis.p, filt=filt, fore=fore)
     theta = _theta_from(args, config, basis, key="theta")
     if theta is None:
         raise ConfigError("forecast needs parameters (--theta0 or config 'theta')")
     # only the last cloud is kept: the others are freed before the paths are drawn
-    terminal = bootstrap_filter(panel, basis, theta, num, seed).clouds[-1]
-    paths = simulate_future(theta, terminal, horizon, num_paths, seed)
-    surface = rate_surface(paths, basis, panel.cells, quantiles)
-    _write(outdir, "forecast.csv", forecast_to_csv(surface, panel.cells, quantiles))
+    terminal = bootstrap_filter(panel, basis, theta, filt["num_particles"], seed).clouds[-1]
+    paths = simulate_future(theta, terminal, fore["horizon"], fore["num_paths"], seed)
+    surface = rate_surface(paths, basis, panel.cells, fore["quantiles"])
+    _write(outdir, "forecast.csv", forecast_to_csv(surface, panel.cells, fore["quantiles"]))
 
 
 def _cmd_synth(args, config, outdir, seed):
@@ -392,6 +431,7 @@ def _cmd_synth(args, config, outdir, seed):
             raise ConfigError(f"bad synth theta: {exc}") from exc
         _check_dimension(theta, basis, "synth theta")
     n = _integral(_require(spec, "periods"), "synth", "periods")
+    _check_memory(n, basis.p, synth_cells=len(cells))
     exposure = _require(spec, "exposure")
     try:  # periods < 1, exposures that are not counts, ages outside the basis
         panel, states = generate(theta, basis, cells, exposure, n, seed)

@@ -56,8 +56,8 @@ def simulate_future(theta, terminal, horizon, num_paths, seed):
         raise ValueError("horizon and path count must be positive")
     gen = rng.substream(seed, rng.FORECAST, 0)
     picks = inverse_cdf(pinned_cdf(terminal.weights), gen.random(num_paths))
-    gens = [rng.substream(seed, rng.FORECAST, h) for h in range(1, horizon + 1)]
     out = np.empty((horizon, num_paths, theta.p))
+    gens = [rng.substream(seed, rng.FORECAST, h) for h in range(1, horizon + 1)]
 
     def draw(hs):  # each horizon's normals, in place of its path states
         for h in hs:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,19 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import disrates as d
-from disrates import cli, errors, rng
-from disrates.cli import (
-    EM_KEYS,
-    FILTER_KEYS,
-    FORECAST_KEYS,
-    _em_config,
-    _filter_settings,
-    _forecast_settings,
-    _int_setting,
-    main,
-)
+from disrates import cli, errors, rng, workers
+from disrates.cli import SETTINGS, _count, _em_config, _settings, main
 from conftest import TOY_PHI, toy_panel, toy_theta
 
 
@@ -662,12 +657,11 @@ def readme_schema():
 
 def test_readme_schema_lists_every_setting_with_its_default():
     schema = readme_schema()
-    assert tuple(schema["em"]) == EM_KEYS
-    assert tuple(schema["filter"]) == FILTER_KEYS
-    assert tuple(schema["forecast"]) == FORECAST_KEYS
+    assert tuple(SETTINGS) == ("em", "filter", "forecast")
+    for name, table in SETTINGS.items():
+        assert tuple(schema[name]) == tuple(table)
+        assert _settings(schema, name) == _settings({}, name)
     assert _em_config(schema) == _em_config({})
-    assert _filter_settings(schema) == _filter_settings({})
-    assert _forecast_settings(schema) == _forecast_settings({})
 
 
 def aliased(keys):
@@ -708,14 +702,18 @@ def test_no_two_random_streams_of_a_run_coincide(tmp_path, monkeypatch):
     ]
 
 
-def test_int_setting_accepts_integral_numbers_only():
-    assert _int_setting({"k": 1e3}, "em", "k", 1) == 1000
-    assert type(_int_setting({"k": 1e3}, "em", "k", 1)) is int
-    assert _int_setting({}, "em", "k", 7) == 7
+def test_count_accepts_integral_numbers_of_at_least_one():
+    assert _count(1e3, "em", "k") == 1000
+    assert type(_count(1e3, "em", "k")) is int
+    assert _count(1, "em", "k") == 1
+    assert _settings({}, "forecast")["horizon"] == 10
     for bad in (2.7, True, False, float("inf"), float("nan"), None, "many", "12",
                 [3]):
         with pytest.raises(d.ConfigError, match="k must be an integer"):
-            _int_setting({"k": bad}, "em", "k", 1)
+            _count(bad, "em", "k")
+    for bad in (0, -1, 0.0, -1e300):
+        with pytest.raises(d.ConfigError, match="k must be at least 1"):
+            _count(bad, "em", "k")
 
 
 def test_em_config_defaults_come_from_emconfig():
@@ -807,3 +805,198 @@ def test_synth_theta_file_must_match_the_basis(tmp_path, capsys):
     assert main(["synth", "--config", config, "--out", str(out)]) == 2
     assert f"bad parameter file: {DIMENSION}" in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+# Counts far beyond any machine's memory: (command, path of the key in the
+# config, what the message must say).  Each exits 2 before any compute;
+# before the bounds, some ran without end and the others exited 1 from numpy.
+ABSURD_COUNTS = {
+    "em-particles": ("fit", ("em", "num_particles"), "of memory"),
+    "em-iterations": ("fit", ("em", "max_iters"), "of memory"),
+    "em-backward": ("fit", ("em", "num_backward"), "num_backward"),
+    "em-tail": ("fit", ("em", "tail_window"), "tail window"),
+    "fit-filter-particles": ("fit", ("filter", "num_particles"), "of memory"),
+    "filter-particles": ("filter", ("filter", "num_particles"), "of memory"),
+    "forecast-filter-particles": ("forecast", ("filter", "num_particles"), "of memory"),
+    "forecast-horizon": ("forecast", ("forecast", "horizon"), "of memory"),
+    "forecast-paths": ("forecast", ("forecast", "num_paths"), "of memory"),
+    "synth-periods": ("synth", ("synth", "periods"), "of memory"),
+}
+
+
+@pytest.mark.parametrize("value", [1e15, 1e300, 2**70], ids=["1e15", "1e300", "2**70"])
+@pytest.mark.parametrize("command,path,message", ABSURD_COUNTS.values(), ids=ABSURD_COUNTS)
+def test_an_absurd_count_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, command,
+                                                    path, message, value):
+    monkeypatch.setattr(cli, "two_step_fit", None)  # nothing may reach the compute
+    monkeypatch.setattr(cli, "em_fit", None)
+    monkeypatch.setattr(cli, "bootstrap_filter", None)
+    monkeypatch.setattr(cli, "generate", None)
+    body = base_config(tmp_path, synth=json.loads(json.dumps(SYNTH)),
+                       em={"num_particles": 50, "max_iters": 1, "tail_window": 1})
+    section, key = path
+    body.setdefault(section, {})[key] = value
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--theta0", write_theta(tmp_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert not any(out.iterdir())
+
+
+# The float64 elements each command's counts imply on the toy panel (n=4,
+# p=1, 3 cells) with the settings of test_the_memory_bound_is_exact below.
+TOY_ELEMENTS = {
+    # E-step clouds and whitened copy 2*4*50, one theta and Q per iteration
+    # 2*(1 + 1)**2, filter clouds 4*30
+    "fit": 400 + 8 + 120,
+    "filter": 120,
+    # filter clouds, paths 3*20, two fan buffers of 15 rows 2*15*20
+    "forecast": 120 + 60 + 600,
+    # synth's path and its three (cells, n) tables: 4*(1 + 3*3)
+    "synth": 40,
+}
+
+
+@pytest.mark.parametrize("command,elements", TOY_ELEMENTS.items(), ids=TOY_ELEMENTS)
+def test_the_memory_bound_is_exact(tmp_path, capsys, monkeypatch, command, elements):
+    monkeypatch.setattr(workers, "COUNT", 2)
+    body = base_config(tmp_path, synth=SYNTH, em={"num_particles": 50, "max_iters": 2,
+                                                  "tail_window": 1},
+                       filter={"num_particles": 30}, forecast={"horizon": 3, "num_paths": 20})
+    config = write_config(tmp_path, **body)
+    argv = [command, "--config", config, "--theta0", write_theta(tmp_path)]
+    monkeypatch.setattr(cli, "MEMORY_BYTES", 8 * elements)
+    assert main(argv + ["--out", str(tmp_path / "fits")]) == 0
+    monkeypatch.setattr(cli, "MEMORY_BYTES", 8 * elements - 1)
+    out = tmp_path / "too-big"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad config: the counts need ") and err.count("\n") == 1
+    assert "of memory" in err
+    assert not any(out.iterdir())
+
+
+def test_a_config_integer_too_long_to_convert_exits_2(tmp_path, capsys):
+    # json refuses integers of over 4,300 digits with a plain ValueError
+    target = tmp_path / "long.json"
+    target.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert main(["validate", "--config", str(target), "--out", str(tmp_path / "o")]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
+def test_a_theta_setting_that_is_not_a_string_exits_2(tmp_path, capsys):
+    body = base_config(tmp_path, theta=5)
+    config = write_config(tmp_path, **body)
+    out = tmp_path / "out"
+    assert main(["filter", "--config", config, "--out", str(out)]) == 2
+    assert "bad config: theta must be a file path string" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+# The property test below replaces one value of a config that every command
+# runs on with a drawn JSON value.  Numbers are small (at most 100) or absurd
+# (at least 1e15, far beyond the memory bound), never in between, so no draw
+# allocates much or runs long; strings come from a fixed list, so no draw
+# names a real file such as a device.
+FUZZ_SCALARS = (
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 100),
+    st.sampled_from([0.0, 0.5, 2.7, -0.5, -1e300, 1e15, 1e300, 10**15, 2**70,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["", "x", "12", "1e3", "inception", "termination", "reject",
+                     "categorical", "exact", "custom", "linear2", "six_factor"]),
+)
+FUZZ_KEYS = st.sampled_from(["x", "kind", "table", "params", "ages", "durations",
+                             "num_particles", "horizon", "quantiles", "mu", "chol", "nu0"])
+SCALAR = st.one_of(*FUZZ_SCALARS)
+# scalars five times in seven, then lists (of scalars or of lists) and objects
+FUZZ_VALUES = st.one_of(
+    *FUZZ_SCALARS,
+    st.lists(SCALAR | st.lists(SCALAR, max_size=4), max_size=4),
+    st.dictionaries(FUZZ_KEYS, SCALAR, max_size=3),
+)
+FUZZ_PATHS = sorted(
+    [(name, key) for name, table in SETTINGS.items() for key in table]
+    + [(key,) for key in cli.TOP_KEYS]
+    + [("basis", key) for key in ("kind", "table", "params")]
+    + [("synth", key) for key in cli.SYNTH_KEYS]
+    + [("synth", "cells", key) for key in cli.CELL_KEYS]
+)
+COMMANDS = ("validate", "baseline", "fit", "filter", "forecast", "synth")
+
+
+def run_quietly(argv):
+    """main(argv)'s exit code and stderr, its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Per study kind, a config that every command runs on: the toy panel
+    with its custom basis for inception, and for termination a panel that
+    `synth` draws with the built-in four_factor basis.  Also the scratch
+    directory for the outputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    settings = dict(
+        em={"num_particles": 20, "num_backward": 2, "max_iters": 2, "tail_window": 1,
+            "backward": "reject"},
+        filter={"num_particles": 20, "quantiles": [0.05, 0.5, 0.95]},
+        forecast={"horizon": 2, "num_paths": 20, "quantiles": [0.5]},
+    )
+    theta = write_theta(root)
+    inception = base_config(root, theta=theta, theta0=theta,
+                            synth=json.loads(json.dumps(SYNTH)), **settings)
+    (root / "termination").mkdir()
+    theta4 = d.LatentParams(mu=[0.0] * 4, chol=0.1 * np.eye(4), nu0=[-1.0] * 4)
+    theta = write_theta(root / "termination", theta4)
+    termination = dict(
+        settings, study="termination", seed=42, theta=theta, theta0=theta,
+        panel=str(root / "termination" / "panel.csv"),
+        basis={"kind": "four_factor", "params": {"age_lo": 25, "age_hi": 64}},
+        synth={"cells": {"ages": [30, 40, 50], "durations": [0.0, 1.0],
+                         "duration_widths": 0.5},
+               "theta": d.theta_to_dict(theta4), "periods": 5, "exposure": 200},
+    )
+    bodies = {"inception": inception, "termination": termination}
+    for study, body in bodies.items():
+        config = write_config(root, name=f"{study}.json", **body)
+        if study == "termination":  # the panel the other commands read
+            assert run_quietly(["synth", "--config", config,
+                                "--out", str(root / "termination")])[0] == 0
+        for command in COMMANDS:
+            assert run_quietly([command, "--config", config, "--out", str(root / "out")]) == (
+                0, ""), (study, command)
+    return bodies, root
+
+
+@pytest.mark.filterwarnings("ignore:singular increment covariance")
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(study=st.sampled_from(["inception", "termination"]),
+       command=st.sampled_from(COMMANDS), path=st.sampled_from(FUZZ_PATHS),
+       value=FUZZ_VALUES)
+# found by this test's random runs: np.isfinite raised a TypeError on an
+# integer beyond int64
+@example(study="termination", command="synth", path=("synth", "cells", "duration_widths"),
+         value=2**70)
+@example(study="termination", command="synth", path=("synth", "cells", "durations"),
+         value=[0.0, 2**70])
+def test_no_config_value_makes_a_command_crash(fuzz_inputs, study, command, path, value):
+    bodies, root = fuzz_inputs
+    body = json.loads(json.dumps(bodies[study]))
+    *parents, key = path
+    node = body
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    config = write_config(root, name="fuzz.json", **body)
+    code, err = run_quietly([command, "--config", config, "--out", str(root / "out")])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert re.fullmatch(r"(config error|data error|numerical failure): [^\n]+\n", err), err

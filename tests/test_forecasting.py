@@ -41,6 +41,23 @@ def test_shapes_and_reproducibility():
     assert not np.array_equal(a, c)
 
 
+def test_an_absurd_horizon_is_refused_before_its_streams_are_built(monkeypatch):
+    # the paths are allocated before the horizons' generators, so numpy
+    # refuses the shape at once instead of the generators growing without end
+    theta, cloud = toy_theta(), terminal_cloud()
+    real, built = d.rng.substream, []
+
+    def counting(seed, *path):
+        built.append(path)
+        assert len(built) < 100, "generators built before the paths were allocated"
+        return real(seed, *path)
+
+    monkeypatch.setattr(d.rng, "substream", counting)
+    with pytest.raises(ValueError):
+        d.simulate_future(theta, cloud, 10**30, 5, seed=12)
+    assert len(built) == 1  # the start draw's stream only
+
+
 def test_horizon_mean_and_spread():
     theta, cloud = toy_theta(), terminal_cloud(num=2000)
     paths = d.simulate_future(theta, cloud, 1, 100_000, seed=14)
@@ -222,8 +239,12 @@ def test_levels_sharing_an_order_statistic():
     )
 
 
-def test_streamed_surface_memory_is_one_horizon():
-    # 42 cells x 20000 paths: one (C, M) buffer is 6.7 MB
+def test_streamed_surface_memory_is_one_horizon(monkeypatch):
+    # 42 cells x 20000 paths: one (C, M) buffer is 6.7 MB.  Each worker takes
+    # a row-group buffer of its own, so the count is pinned for a bound that
+    # holds on any machine (test_surface_takes_one_row_group_buffer_per_worker
+    # covers the scaling).
+    monkeypatch.setattr(workers, "COUNT", 2)
     cells, basis = wide_basis(42, 2, seed=25)
     horizon, count = 10, 20_000
     paths = np.random.default_rng(25).standard_normal((horizon, count, 2))
